@@ -8,7 +8,6 @@
 package quantpar_test
 
 import (
-	"container/heap"
 	"fmt"
 	"os"
 	"testing"
@@ -102,22 +101,23 @@ func BenchmarkConcl1MsgGranularity(b *testing.B)      { benchExperiment(b, "conc
 
 // --- ablation benchmarks (design decisions of DESIGN.md Section 5) ---
 
-// BenchmarkAblationPatternCache measures the SIMD pattern memoization: the
-// same MasPar bitonic run with and without the cache.
+// BenchmarkAblationPatternCache measures the phase memo: the same MasPar
+// bitonic run with the memo on and off.
 func BenchmarkAblationPatternCache(b *testing.B) {
 	m, err := machine.Build("maspar")
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer phase.SetEnabled(true)
 	for _, mode := range []struct {
 		name    string
-		disable bool
-	}{{"cached", false}, {"uncached", true}} {
+		enabled bool
+	}{{"cached", true}, {"uncached", false}} {
 		b.Run(mode.name, func(b *testing.B) {
+			phase.SetEnabled(mode.enabled)
 			for i := 0; i < b.N; i++ {
 				_, err := bitonic.Run(m, bitonic.Config{
 					KeysPerProc: 16, Variant: bitonic.Word, Seed: 1,
-					DisablePatternCache: mode.disable,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -168,9 +168,12 @@ func BenchmarkAblationGCelBuffer(b *testing.B) {
 			var simT float64
 			base := sim.NewRNG(7)
 			for i := 0; i < b.N; i++ {
-				s := calibrate.MeasureSteps(r, func(rng *sim.RNG) []*comm.Step {
+				s, err := calibrate.Fixed(r).MeasureSteps(func(r comm.Router, rng *sim.RNG) []*comm.Step {
 					return calibrate.HHPermutation(r.Procs(), 512, 4, 0, rng)
 				}, 2, base)
+				if err != nil {
+					b.Fatal(err)
+				}
 				simT = s.Mean
 			}
 			b.ReportMetric(simT/512, "sim-us/msg")
@@ -196,12 +199,19 @@ func BenchmarkAblationGCelOverheadSplit(b *testing.B) {
 			var ratio float64
 			base := sim.NewRNG(9)
 			for i := 0; i < b.N; i++ {
-				sc := calibrate.Measure(r, func(rng *sim.RNG) *comm.Step {
+				sw := calibrate.Fixed(r)
+				sc, err := sw.Measure(func(r comm.Router, rng *sim.RNG) *comm.Step {
 					return calibrate.MultinodeScatter(r.Procs(), 8, 32, 4, rng)
 				}, 2, base.Split(1))
-				fr := calibrate.Measure(r, func(rng *sim.RNG) *comm.Step {
+				if err != nil {
+					b.Fatal(err)
+				}
+				fr, err := sw.Measure(func(r comm.Router, rng *sim.RNG) *comm.Step {
 					return calibrate.FullHRelation(r.Procs(), 32, 4, rng)
 				}, 2, base.Split(2))
+				if err != nil {
+					b.Fatal(err)
+				}
 				ratio = fr.Mean / sc.Mean
 			}
 			b.ReportMetric(ratio, "scatter-discount")
@@ -239,34 +249,6 @@ func BenchmarkAblationMasParWaves(b *testing.B) {
 
 // --- event-kernel and sweep-engine benchmarks ---
 
-// legacyEvent and legacyQueue reproduce the pre-optimization EventQueue: a
-// container/heap binary heap boxing events through the `any`-typed
-// interface, kept here as the comparison baseline for BenchmarkEventQueue.
-type legacyEvent struct {
-	at   sim.Time
-	seq  int
-	data any
-}
-
-type legacyHeap []legacyEvent
-
-func (h legacyHeap) Len() int { return len(h) }
-func (h legacyHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h legacyHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *legacyHeap) Push(x any)   { *h = append(*h, x.(legacyEvent)) }
-func (h *legacyHeap) Pop() any {
-	old := *h
-	n := len(old) - 1
-	e := old[n]
-	*h = old[:n]
-	return e
-}
-
 // eventQueueWorkload is the steady-state shape the routers produce: a
 // standing population of pending events with interleaved pushes and pops.
 const eventQueuePopulation = 1024
@@ -277,24 +259,6 @@ func BenchmarkEventQueue(b *testing.B) {
 	for i := range times {
 		times[i] = sim.Time(rng.Float64() * 1e6)
 	}
-
-	b.Run("legacy-binary-heap", func(b *testing.B) {
-		b.ReportAllocs()
-		h := make(legacyHeap, 0, eventQueuePopulation+1)
-		seq := 0
-		push := func(at sim.Time) {
-			heap.Push(&h, legacyEvent{at: at, seq: seq})
-			seq++
-		}
-		for i := 0; i < eventQueuePopulation; i++ {
-			push(times[i%len(times)])
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			push(times[i%len(times)])
-			_ = heap.Pop(&h).(legacyEvent)
-		}
-	})
 
 	b.Run("inlined-4ary-heap", func(b *testing.B) {
 		b.ReportAllocs()
@@ -357,7 +321,7 @@ func BenchmarkEngineSuperstep(b *testing.B) {
 // BenchmarkPublicAPIQuickstart exercises the facade end to end, the same
 // path as examples/quickstart.
 func BenchmarkPublicAPIQuickstart(b *testing.B) {
-	m, err := quantpar.NewCM5()
+	m, err := quantpar.NewMachine("cm5")
 	if err != nil {
 		b.Fatal(err)
 	}

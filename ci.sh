@@ -21,10 +21,8 @@
 #      committed golden artifacts (internal/runstore/testdata/golden):
 #      any check-verdict flip or out-of-tolerance series drift fails CI;
 #   7. qpbench replays the quick benchmark subset and diffs it against the
-#      committed baselines: an allocs/op increase beyond 10% over any of
-#      BENCH_baseline.json (pre-pipeline), BENCH_pipeline.json
-#      (pre-memoization), or BENCH_memo.json (current) fails CI, as does
-#      any sim-events/op increase over BENCH_memo.json (the event counts
+#      committed baseline, BENCH_memo.json: an allocs/op increase beyond
+#      10% fails CI, as does any sim-events/op increase (the event counts
 #      are deterministic, so the tolerance is zero); ns/op and B/op drift
 #      is advisory only.
 #
@@ -90,8 +88,8 @@ else
 fi
 
 stage "bench-regression gate (qpbench -quick -diff)"
-go run ./cmd/qpbench -quick -diff BENCH_baseline.json -diff BENCH_pipeline.json -diff BENCH_memo.json || {
-    echo "ci: allocs/op or sim-events/op regressed against the committed benchmark baselines"
+go run ./cmd/qpbench -quick -diff BENCH_memo.json || {
+    echo "ci: allocs/op or sim-events/op regressed against the committed benchmark baseline"
     exit 1
 }
 

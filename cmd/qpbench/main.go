@@ -9,8 +9,8 @@
 //	qpbench                             # run every figure/table benchmark
 //	qpbench -quick                      # table1 + fig03 + fig04 only
 //	qpbench -o BENCH_memo.json          # write the canonical snapshot
-//	qpbench -quick -diff BENCH_baseline.json
-//	                                    # run and compare against a baseline
+//	qpbench -quick -diff BENCH_memo.json
+//	                                    # run and compare against the baseline
 //	qpbench -ids fig03,fig04            # explicit benchmark subset
 //
 // Each benchmark is sampled three times and every metric keeps its
@@ -21,11 +21,10 @@
 // counting zero — is the steady-state warm count, deterministic and
 // independent of which benchmarks ran earlier in the process.
 //
-// -diff may be repeated; each file may be either qpbench's canonical format
-// or a `go test -json` stream (the format of BENCH_baseline.json). An
+// -diff names one baseline snapshot in qpbench's canonical format. An
 // allocs/op increase beyond -alloc-tol (default 10%) or a sim-events/op
 // increase beyond -events-tol (default 0: the count is deterministic, so
-// any increase is real) against any baseline is a blocking regression:
+// any increase is real) against the baseline is a blocking regression:
 // qpbench prints it and exits 1. Wall-clock ns/op and B/op drift is
 // reported as advisory only, because single-iteration timings on shared CI
 // hardware are too noisy to gate on. Baselines that predate a metric simply
@@ -48,7 +47,7 @@ import (
 )
 
 // figureBenches maps experiment IDs to the benchmark names used by
-// bench_test.go (and therefore by BENCH_baseline.json), in run order.
+// bench_test.go (and therefore by BENCH_memo.json), in run order.
 var figureBenches = []struct{ id, name string }{
 	{"table1", "BenchmarkTable1Params"},
 	{"fig01", "BenchmarkFig01MasPar1hRelations"},
@@ -88,16 +87,7 @@ func nameOf(id string) (string, bool) {
 	return "", false
 }
 
-type diffFiles []string
-
-func (d *diffFiles) String() string { return strings.Join(*d, ",") }
-func (d *diffFiles) Set(v string) error {
-	*d = append(*d, v)
-	return nil
-}
-
 func main() {
-	var diffs diffFiles
 	quick := flag.Bool("quick", false, "run only the quick subset (table1, fig03, fig04)")
 	ids := flag.String("ids", "", "comma-separated experiment IDs to benchmark (default: all)")
 	out := flag.String("o", "", "write the canonical qpbench JSON snapshot to this file")
@@ -107,7 +97,7 @@ func main() {
 	nsTol := flag.Float64("ns-tol", 0.25, "advisory tolerance for ns/op increases")
 	bytesTol := flag.Float64("bytes-tol", 0.10, "advisory tolerance for B/op increases")
 	eventsTol := flag.Float64("events-tol", 0, "blocking tolerance for sim-events/op increases (deterministic; any increase is real)")
-	flag.Var(&diffs, "diff", "baseline file to compare against (repeatable; canonical or go test -json format)")
+	diff := flag.String("diff", "", "baseline snapshot to compare against (qpbench canonical format)")
 	testing.Init()
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -172,25 +162,23 @@ func main() {
 		}
 	}
 
-	tol := Tolerances{Allocs: *allocTol, Ns: *nsTol, Bytes: *bytesTol, Events: *eventsTol}
 	regressed := false
-	for _, file := range diffs {
-		data, err := os.ReadFile(file)
+	if *diff != "" {
+		data, err := os.ReadFile(*diff)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "qpbench:", err)
 			os.Exit(2)
 		}
 		base, err := ParseBaseline(data)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "qpbench: %s: %v\n", file, err)
+			fmt.Fprintf(os.Stderr, "qpbench: %s: %v\n", *diff, err)
 			os.Exit(2)
 		}
-		lines, bad := Diff(report.Benchmarks, base, tol)
+		tol := Tolerances{Allocs: *allocTol, Ns: *nsTol, Bytes: *bytesTol, Events: *eventsTol}
+		var lines []string
+		lines, regressed = Diff(report.Benchmarks, base, tol)
 		for _, l := range lines {
-			fmt.Printf("diff %s: %s\n", file, l)
-		}
-		if bad {
-			regressed = true
+			fmt.Printf("diff %s: %s\n", *diff, l)
 		}
 	}
 

@@ -5,53 +5,6 @@ import (
 	"testing"
 )
 
-// testStream is a minimal test2json stream in the shape go test -json
-// produces for benchmarks: name-only events, split name/result events, and
-// a sub-benchmark whose name and result share one line.
-const testStream = `{"Time":"2026-08-06T09:30:27.29Z","Action":"start","Package":"quantpar"}
-{"Time":"2026-08-06T09:30:27.29Z","Action":"output","Package":"quantpar","Output":"goos: linux\n"}
-{"Time":"2026-08-06T09:30:27.29Z","Action":"run","Package":"quantpar","Test":"BenchmarkAlpha"}
-{"Time":"2026-08-06T09:30:27.29Z","Action":"output","Package":"quantpar","Test":"BenchmarkAlpha","Output":"=== RUN   BenchmarkAlpha\n"}
-{"Time":"2026-08-06T09:30:27.29Z","Action":"output","Package":"quantpar","Test":"BenchmarkAlpha","Output":"BenchmarkAlpha\n"}
-{"Time":"2026-08-06T09:30:27.29Z","Action":"output","Package":"quantpar","Test":"BenchmarkAlpha","Output":"BenchmarkAlpha              \t"}
-{"Time":"2026-08-06T09:30:27.29Z","Action":"output","Package":"quantpar","Test":"BenchmarkAlpha","Output":"       1\t  80177195 ns/op\t      1552 sim-us/pt\t39485128 B/op\t  422793 allocs/op\n"}
-{"Time":"2026-08-06T09:30:27.29Z","Action":"output","Package":"quantpar","Test":"BenchmarkBeta","Output":"BenchmarkBeta/sub-case       \t       1\t  44891512 ns/op\t     12609 sim-us\n"}
-{"Time":"2026-08-06T09:30:27.29Z","Action":"output","Package":"quantpar","Test":"BenchmarkGamma","Output":"BenchmarkGamma    \t"}
-{"Time":"2026-08-06T09:30:27.29Z","Action":"output","Package":"quantpar","Test":"BenchmarkGamma","Output":"       2\t       766.5 ns/op\t      64 B/op\t       2 allocs/op\n"}
-{"Time":"2026-08-06T09:30:27.29Z","Action":"pass","Package":"quantpar"}
-`
-
-func TestParseTestJSONStream(t *testing.T) {
-	base, err := ParseBaseline([]byte(testStream))
-	if err != nil {
-		t.Fatal(err)
-	}
-	alpha, ok := base["BenchmarkAlpha"]
-	if !ok {
-		t.Fatalf("BenchmarkAlpha missing; got %v", base)
-	}
-	if alpha.Iterations != 1 {
-		t.Errorf("alpha iterations = %d, want 1", alpha.Iterations)
-	}
-	for unit, want := range map[string]float64{
-		"ns/op": 80177195, "sim-us/pt": 1552, "B/op": 39485128, "allocs/op": 422793,
-	} {
-		if got := alpha.Metrics[unit]; got != want {
-			t.Errorf("alpha %s = %v, want %v", unit, got, want)
-		}
-	}
-	beta, ok := base["BenchmarkBeta/sub-case"]
-	if !ok {
-		t.Fatalf("sub-benchmark missing; got %v", base)
-	}
-	if got := beta.Metrics["sim-us"]; got != 12609 {
-		t.Errorf("beta sim-us = %v, want 12609", got)
-	}
-	if gamma := base["BenchmarkGamma"]; gamma.Iterations != 2 || gamma.Metrics["ns/op"] != 766.5 {
-		t.Errorf("gamma = %+v, want 2 iterations at 766.5 ns/op", gamma)
-	}
-}
-
 func TestParseBaselineCanonical(t *testing.T) {
 	rep := Report{Format: FormatV1, Benchmarks: []Record{
 		{Name: "BenchmarkAlpha", Iterations: 1, Metrics: map[string]float64{"allocs/op": 100, "ns/op": 5e6}},
@@ -66,7 +19,8 @@ func TestParseBaselineCanonical(t *testing.T) {
 }
 
 func TestParseBaselineRejectsGarbage(t *testing.T) {
-	for _, bad := range []string{"", "not json at all", `{"format":"qpbench/v1","benchmarks":[]}` + "garbage"} {
+	for _, bad := range []string{"", "not json at all", `{"format":"qpbench/v1","benchmarks":[]}` + "garbage",
+		`{"Time":"2026-08-06T09:30:27.29Z","Action":"start","Package":"quantpar"}`} {
 		if _, err := ParseBaseline([]byte(bad)); err == nil {
 			t.Errorf("ParseBaseline(%q) = nil error, want failure", bad)
 		}

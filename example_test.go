@@ -45,7 +45,7 @@ func ExampleNewMachine() {
 // ExampleRunMatMul multiplies two matrices on the simulated CM-5 with the
 // block-transfer (MP-BPRAM) algorithm and verifies the result.
 func ExampleRunMatMul() {
-	m, err := quantpar.NewCM5()
+	m, err := quantpar.NewMachine("cm5")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func ExampleRunMatMul() {
 // and runs it on the simulated GCel, where each millisecond-scale message
 // overhead is visible in the simulated clock.
 func ExampleRun() {
-	m, err := quantpar.NewGCel()
+	m, err := quantpar.NewMachine("gcel")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func ExampleRun() {
 
 // ExampleNewTrace records and renders the superstep timeline of a run.
 func ExampleNewTrace() {
-	m, err := quantpar.NewCM5()
+	m, err := quantpar.NewMachine("cm5")
 	if err != nil {
 		log.Fatal(err)
 	}

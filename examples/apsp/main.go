@@ -18,7 +18,7 @@ import (
 )
 
 func main() {
-	m, err := quantpar.NewMasPar()
+	m, err := quantpar.NewMachine("maspar")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -72,18 +72,10 @@ func allreduce(ctx *quantpar.Context, value uint32) uint32 {
 }
 
 func main() {
-	machines := []struct {
-		key   string
-		build func() (*quantpar.Machine, error)
-	}{
-		{"maspar", quantpar.NewMasPar},
-		{"gcel", quantpar.NewGCel},
-		{"cm5", quantpar.NewCM5},
-	}
 	fmt.Println("allreduce of one word per processor (tree up, tree down):")
 	fmt.Printf("%-16s %6s %14s %16s\n", "machine", "P", "measured(us)", "2logP*(g+L)(us)")
-	for _, mm := range machines {
-		m, err := mm.build()
+	for _, key := range []string{"maspar", "gcel", "cm5"} {
+		m, err := quantpar.NewMachine(key)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -100,7 +92,7 @@ func main() {
 				log.Fatalf("%s: processor %d got %d, want %d", m.Name, id, v, want)
 			}
 		}
-		ref, err := quantpar.Reference(mm.key)
+		ref, err := quantpar.Reference(key)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -16,7 +16,7 @@ import (
 )
 
 func main() {
-	m, err := quantpar.NewCM5()
+	m, err := quantpar.NewMachine("cm5")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -19,7 +19,7 @@ import (
 )
 
 func main() {
-	m, err := quantpar.NewGCel()
+	m, err := quantpar.NewMachine("gcel")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -58,9 +58,6 @@ type Config struct {
 	WordsPerMsg int
 	Seed        uint64
 	Verify      bool
-	// DisablePatternCache turns off the engine's SIMD pattern memoization
-	// (used by the ablation benchmarks).
-	DisablePatternCache bool
 	// Trace, when non-nil, records the superstep timeline of the run.
 	Trace *trace.Recorder
 }
@@ -104,7 +101,7 @@ func Run(m *machine.Machine, cfg Config) (*Result, error) {
 		sortKeys(ctx, keys, cfg)
 		out[ctx.ID()] = keys
 	}
-	opts := bsplib.Options{Seed: cfg.Seed, DisablePatternCache: cfg.DisablePatternCache, Trace: cfg.Trace}
+	opts := bsplib.Options{Seed: cfg.Seed, Trace: cfg.Trace}
 	if cfg.Variant == Block {
 		opts.Discipline = bsplib.DisciplineMPBPRAM
 	}

@@ -56,13 +56,6 @@ type Options struct {
 	// Seed drives every stochastic component of the run (router jitter and
 	// program-level randomness via Context.RNG).
 	Seed uint64
-	// DisablePatternCache marks every communication step NoMemo, bypassing
-	// the phase memo cache (package phase) for this run: each step is priced
-	// by full event-driven simulation. The RNG streams are unchanged, so a
-	// run produces byte-identical results either way — the flag only trades
-	// simulation work, which is what the desync/drift studies and the
-	// ablation benchmarks need.
-	DisablePatternCache bool
 	// Trace, when non-nil, records a per-superstep execution timeline.
 	Trace *trace.Recorder
 }
@@ -487,7 +480,6 @@ func (e *engine) routeMIMDLocked(barrier bool) {
 	// recurrence of the phase would have simulated.
 	d := phase.DigestStep(step)
 	step.Memo = d
-	step.NoMemo = e.opt.DisablePatternCache
 	res := e.m.Router.Route(step, e.rng.Split(d.Hi^d.Lo))
 	if res.Replayed {
 		e.res.PatternCacheHits++
@@ -653,7 +645,6 @@ type streamRun struct {
 // regardless of the stream, and the memo key does not include it.
 func (e *engine) priceStep(step *comm.Step, repeat int) sim.Time {
 	step.Memo = phase.DigestStep(step)
-	step.NoMemo = e.opt.DisablePatternCache
 	res := e.m.Router.Route(step, e.rng.Split(uint64(e.stepIdx)))
 	if res.Replayed {
 		e.res.PatternCacheHits += repeat

@@ -303,7 +303,9 @@ func TestPatternCache(t *testing.T) {
 		t.Fatalf("router called %d times, want 1", r.calls)
 	}
 	r2 := &fakeRouter{procs: 2, base: 1, msgCost: 1}
-	res2, err := Run(fakeMachine(2, true, r2), prog, Options{Seed: 1, DisablePatternCache: true})
+	phase.SetEnabled(false)
+	res2, err := Run(fakeMachine(2, true, r2), prog, Options{Seed: 1})
+	phase.SetEnabled(true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,12 @@
 package calibrate
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"quantpar/internal/comm"
+	"quantpar/internal/phase"
 	"quantpar/internal/router/maspar"
 	"quantpar/internal/sim"
 )
@@ -190,9 +192,15 @@ func TestMeasureDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen := func(rng *sim.RNG) *comm.Step { return RandomPermutation(r.Procs(), 4, rng) }
-	a := Measure(r, gen, 5, sim.NewRNG(9))
-	b := Measure(r, gen, 5, sim.NewRNG(9))
+	gen := func(r comm.Router, rng *sim.RNG) *comm.Step { return RandomPermutation(r.Procs(), 4, rng) }
+	a, err := Fixed(r).Measure(gen, 5, sim.NewRNG(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Fixed(r).Measure(gen, 5, sim.NewRNG(9))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if a != b {
 		t.Fatalf("same-seed measurements differ: %+v vs %+v", a, b)
 	}
@@ -210,7 +218,7 @@ func TestExtractRecoversPlausibleParameters(t *testing.T) {
 		Style: StyleOneToH, Hs: []int{1, 4, 16, 32},
 		Sizes: []int{16, 64, 256}, WordBytes: 4, Trials: 4,
 	}
-	p, err := Extract(r, spec, sim.NewRNG(1))
+	p, err := Fixed(r).Extract(spec, sim.NewRNG(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +249,6 @@ func TestSweeperWorkerCountInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	procs := probe.Procs()
 
 	mGen := func(r comm.Router, rng *sim.RNG) *comm.Step { return RandomPermutation(r.Procs(), 4, rng) }
 	sGen := func(r comm.Router, rng *sim.RNG) []*comm.Step { return HHPermutation(r.Procs(), 8, 4, 0, rng) }
@@ -261,9 +268,13 @@ func TestSweeperWorkerCountInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The serial wrappers must agree with the Sweeper serial path.
-	if got := Measure(probe, func(rng *sim.RNG) *comm.Step { return RandomPermutation(procs, 4, rng) }, 6, sim.NewRNG(3)); got != serialM {
-		t.Fatalf("wrapper Measure %+v != serial sweeper %+v", got, serialM)
+	// A Fixed sweeper over one router must agree with the factory path.
+	got, err := Fixed(probe).Measure(mGen, 6, sim.NewRNG(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != serialM {
+		t.Fatalf("Fixed Measure %+v != serial sweeper %+v", got, serialM)
 	}
 
 	for _, workers := range []int{2, 4, 8} {
@@ -298,5 +309,32 @@ func TestCurveXY(t *testing.T) {
 	xs, ys := XY(pts)
 	if xs[1] != 2 || ys[1] != 20 {
 		t.Fatalf("XY unzip wrong: %v %v", xs, ys)
+	}
+}
+
+// TestBuildDocumentMemoEquivalence covers qpcal's whole output: the
+// calibration document must be identical with the phase memo on and off,
+// serially and fanned out, because a replay restores exactly the outcome
+// and RNG stream position the simulation would have produced.
+func TestBuildDocumentMemoEquivalence(t *testing.T) {
+	defer phase.SetEnabled(true)
+	var want *Document
+	for _, on := range []bool{true, false} {
+		phase.SetEnabled(on)
+		hits := phase.Hits()
+		for _, workers := range []int{1, 8} {
+			doc, err := BuildDocument(2, workers, 1996)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = doc
+			} else if !reflect.DeepEqual(doc, want) {
+				t.Fatalf("memo on=%v, %d workers: document differs from the first build", on, workers)
+			}
+		}
+		if on && phase.Hits() == hits {
+			t.Fatal("memo-on builds replayed nothing; the comparison proves nothing")
+		}
 	}
 }

@@ -8,20 +8,14 @@ import (
 	"quantpar/internal/fit"
 	"quantpar/internal/machine"
 	_ "quantpar/internal/machine/backends" // registers the platform factories
-	"quantpar/internal/phase"
 	"quantpar/internal/sim"
 )
 
-// docRouter builds a registered machine and returns its raw (unmemoized)
-// router: calibration prices every trial live, so the phase cache must not
-// swallow RNG draws between trials.
+// docRouter builds a registered machine and returns its router.
 func docRouter(name string) (comm.Router, error) {
 	m, err := machine.Build(name)
 	if err != nil {
 		return nil, err
-	}
-	if cr, ok := m.Router.(*phase.CachedRouter); ok {
-		return cr.Unwrap(), nil
 	}
 	return m.Router, nil
 }

@@ -32,15 +32,11 @@ func resetFaults(r comm.Router) {
 type Sweeper struct {
 	Workers int
 	New     func() (comm.Router, error)
-	// NoPhaseCache marks every routed step NoMemo, bypassing the phase memo
-	// cache (package phase). The drift/desync studies set it: they carry
-	// router state (finish skews, chained RNG streams) across supersteps on
-	// purpose, and their point is to observe each step being simulated.
-	NoPhaseCache bool
 }
 
-// Fixed wraps an already-constructed router as a serial Sweeper: the
-// historical single-threaded measurement path.
+// Fixed wraps an already-constructed router as a serial Sweeper. It is
+// how a caller holding one router (the facade's Calibrate, tests,
+// benchmarks) measures on it.
 func Fixed(r comm.Router) Sweeper {
 	return Sweeper{Workers: 1, New: func() (comm.Router, error) { return r, nil }}
 }
@@ -54,9 +50,7 @@ func (s Sweeper) Measure(gen func(r comm.Router, rng *sim.RNG) *comm.Step, trial
 		func(r comm.Router, t int) (float64, error) {
 			resetFaults(r)
 			rng := base.Split(uint64(t))
-			step := gen(r, rng)
-			step.NoMemo = s.NoPhaseCache
-			return r.Route(step, rng).Elapsed, nil
+			return r.Route(gen(r, rng), rng).Elapsed, nil
 		})
 	if err != nil {
 		return fit.Summary{}, err
@@ -74,7 +68,7 @@ func (s Sweeper) MeasureSteps(gen func(r comm.Router, rng *sim.RNG) []*comm.Step
 		func(r comm.Router, t int) (float64, error) {
 			resetFaults(r)
 			rng := base.Split(uint64(t))
-			return routeTrialSteps(r, gen(r, rng), rng, s.NoPhaseCache), nil
+			return routeTrialSteps(r, gen(r, rng), rng), nil
 		})
 	if err != nil {
 		return fit.Summary{}, err
@@ -84,12 +78,11 @@ func (s Sweeper) MeasureSteps(gen func(r comm.Router, rng *sim.RNG) []*comm.Step
 
 // routeTrialSteps executes one trial's step sequence on r, carrying
 // per-processor skews across unbarriered steps.
-func routeTrialSteps(r comm.Router, steps []*comm.Step, rng *sim.RNG, noMemo bool) float64 {
+func routeTrialSteps(r comm.Router, steps []*comm.Step, rng *sim.RNG) float64 {
 	total := sim.Time(0)
 	var offsets []sim.Time
 	for _, s := range steps {
 		s.Offsets = offsets
-		s.NoMemo = noMemo
 		// The trial's stream deliberately chains across its steps:
 		// rng is already the Split-derived per-trial stream, and a
 		// trial is one sequential execution like on the real machine.
@@ -144,9 +137,7 @@ func (s Sweeper) Curve(xs []int, gen func(r comm.Router, x int, rng *sim.RNG) *c
 			// mirrors the historical serial path exactly, so curve values
 			// are unchanged for any worker count.
 			rng := base.Split(uint64(1000 + p)).Split(uint64(t))
-			step := gen(r, xs[p], rng)
-			step.NoMemo = s.NoPhaseCache
-			return r.Route(step, rng).Elapsed, nil
+			return r.Route(gen(r, xs[p], rng), rng).Elapsed, nil
 		})
 	if err != nil {
 		return nil, err
@@ -157,39 +148,6 @@ func (s Sweeper) Curve(xs []int, gen func(r comm.Router, x int, rng *sim.RNG) *c
 		pts[p] = Point{X: float64(x), Mean: sum.Mean, Min: sum.Min, Max: sum.Max}
 	}
 	return pts, nil
-}
-
-// --- serial convenience wrappers (the historical single-router API) ---
-
-// mustSummary unwraps a Fixed-sweeper result; the fixed factory cannot
-// fail and measurement tasks return no errors.
-func mustSummary(s fit.Summary, err error) fit.Summary {
-	if err != nil {
-		panic("calibrate: serial measurement failed: " + err.Error())
-	}
-	return s
-}
-
-// Measure routes the step trials times on r and summarizes the elapsed
-// times; the serial form of Sweeper.Measure.
-func Measure(r comm.Router, gen func(rng *sim.RNG) *comm.Step, trials int, base *sim.RNG) fit.Summary {
-	return mustSummary(Fixed(r).Measure(func(_ comm.Router, rng *sim.RNG) *comm.Step { return gen(rng) }, trials, base))
-}
-
-// MeasureSteps routes a multi-step pattern once per trial on r; the serial
-// form of Sweeper.MeasureSteps.
-func MeasureSteps(r comm.Router, gen func(rng *sim.RNG) []*comm.Step, trials int, base *sim.RNG) fit.Summary {
-	return mustSummary(Fixed(r).MeasureSteps(func(_ comm.Router, rng *sim.RNG) []*comm.Step { return gen(rng) }, trials, base))
-}
-
-// Curve measures a family of patterns indexed by the xs values on r; the
-// serial form of Sweeper.Curve.
-func Curve(r comm.Router, xs []int, gen func(x int, rng *sim.RNG) *comm.Step, trials int, base *sim.RNG) []Point {
-	pts, err := Fixed(r).Curve(xs, func(_ comm.Router, x int, rng *sim.RNG) *comm.Step { return gen(x, rng) }, trials, base)
-	if err != nil {
-		panic("calibrate: serial curve failed: " + err.Error())
-	}
-	return pts
 }
 
 // XY unzips points into x and mean-y slices for fitting.

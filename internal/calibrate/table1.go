@@ -56,11 +56,6 @@ func (s Sweeper) FitGL(style HStyle, hs []int, wordBytes, trials int, base *sim.
 	return line, pts, err
 }
 
-// FitGL is the serial form of Sweeper.FitGL on a single router.
-func FitGL(r comm.Router, style HStyle, hs []int, wordBytes, trials int, base *sim.RNG) (fit.Line, []Point, error) {
-	return Fixed(r).FitGL(style, hs, wordBytes, trials, base)
-}
-
 // FitSigmaEll measures full block permutations over the given message sizes
 // (bytes) and fits time = sigma*m + ell.
 func (s Sweeper) FitSigmaEll(sizes []int, trials int, base *sim.RNG) (fit.Line, []Point, error) {
@@ -74,11 +69,6 @@ func (s Sweeper) FitSigmaEll(sizes []int, trials int, base *sim.RNG) (fit.Line, 
 	xs, ys := XY(pts)
 	line, err := fit.LeastSquaresLine(xs, ys)
 	return line, pts, err
-}
-
-// FitSigmaEll is the serial form of Sweeper.FitSigmaEll on a single router.
-func FitSigmaEll(r comm.Router, sizes []int, trials int, base *sim.RNG) (fit.Line, []Point, error) {
-	return Fixed(r).FitSigmaEll(sizes, trials, base)
 }
 
 // FitTunb measures partial permutations over the given active-processor
@@ -95,11 +85,6 @@ func (s Sweeper) FitTunb(actives []int, wordBytes, trials int, base *sim.RNG) (f
 	xs, ys := XY(pts)
 	sq, err := fit.LeastSquaresSqrtQuadratic(xs, ys)
 	return sq, pts, err
-}
-
-// FitTunb is the serial form of Sweeper.FitTunb on a single router.
-func FitTunb(r comm.Router, actives []int, wordBytes, trials int, base *sim.RNG) (fit.SqrtQuadratic, []Point, error) {
-	return Fixed(r).FitTunb(actives, wordBytes, trials, base)
 }
 
 // Spec describes how to calibrate one machine.
@@ -134,9 +119,4 @@ func (s Sweeper) Extract(spec Spec, base *sim.RNG) (Params, error) {
 		GLFit:       gl,
 		SigmaEllFit: se,
 	}, nil
-}
-
-// Extract is the serial form of Sweeper.Extract on a single router.
-func Extract(r comm.Router, spec Spec, base *sim.RNG) (Params, error) {
-	return Fixed(r).Extract(spec, base)
 }

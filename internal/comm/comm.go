@@ -59,10 +59,6 @@ type Step struct {
 	Offsets []sim.Time
 	// Barrier reports whether a barrier synchronization closes the step.
 	Barrier bool
-	// NoMemo asks a memoizing router to price this step by full simulation,
-	// bypassing the phase cache for both lookup and fill. The drift/desync
-	// studies set it so repeated patterns stay observably expensive.
-	NoMemo bool
 	// Memo is the step's precomputed pattern digest, when the caller has
 	// already fingerprinted the step (the superstep engine computes it to
 	// derive the step's RNG stream). Zero means unset; a memoizing router

@@ -43,12 +43,12 @@ func apspSweep(ctx *Context, mk machineFactory, ns []int, seed uint64,
 }
 
 func runFig12(ctx *Context) (*Outcome, error) {
-	ms, err := newMachineSet()
+	m, err := newMasPar()
 	if err != nil {
 		return nil, err
 	}
 	out := &Outcome{ID: "fig12", Title: "APSP on the MasPar"}
-	md, err := modelsFor(ms.maspar, "maspar", ms.maspar.P())
+	md, err := modelsFor(m, "maspar", m.P())
 	if err != nil {
 		return nil, err
 	}
@@ -102,12 +102,12 @@ func predictAPSPScatterCorrected(b core.BSP, gmscat sim.Time, c core.AlgoCosts, 
 }
 
 func runFig13(ctx *Context) (*Outcome, error) {
-	ms, err := newMachineSet()
+	m, err := newGCel()
 	if err != nil {
 		return nil, err
 	}
 	out := &Outcome{ID: "fig13", Title: "APSP on the GCel"}
-	md, err := modelsFor(ms.gcel, "gcel", ms.gcel.P())
+	md, err := modelsFor(m, "gcel", m.P())
 	if err != nil {
 		return nil, err
 	}
@@ -142,12 +142,12 @@ func runFig13(ctx *Context) (*Outcome, error) {
 }
 
 func runFig15(ctx *Context) (*Outcome, error) {
-	ms, err := newMachineSet()
+	m, err := newCM5()
 	if err != nil {
 		return nil, err
 	}
 	out := &Outcome{ID: "fig15", Title: "APSP on the CM-5"}
-	md, err := modelsFor(ms.cm5, "cm5", ms.cm5.P())
+	md, err := modelsFor(m, "cm5", m.P())
 	if err != nil {
 		return nil, err
 	}

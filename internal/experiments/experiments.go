@@ -256,34 +256,13 @@ func modelsFor(m *machine.Machine, key string, p int) (models, error) {
 	return md, nil
 }
 
-// machineSet lazily constructs the three platforms.
-type machineSet struct {
-	maspar, gcel, cm5 *machine.Machine
-}
-
-func newMachineSet() (*machineSet, error) {
-	mp, err := newMasPar()
-	if err != nil {
-		return nil, err
-	}
-	gc, err := newGCel()
-	if err != nil {
-		return nil, err
-	}
-	cm, err := newCM5()
-	if err != nil {
-		return nil, err
-	}
-	return &machineSet{maspar: mp, gcel: gc, cm5: cm}, nil
-}
-
 // --- parallel sweep plumbing ---
 //
 // Runners fan their (sweep-point x trial) grids across parsweep workers.
 // Machines and routers are stateful, so tasks never touch a shared
 // instance: each worker constructs its own platform through one of the
-// factories below. The shared machineSet remains for read-only uses
-// (model parameters, processor counts, vendor-library pricing).
+// factories below. A runner builds one more instance of its platform for
+// read-only uses (model parameters, processor counts).
 
 // machineFactory builds one worker-private platform instance.
 type machineFactory func() (*machine.Machine, error)

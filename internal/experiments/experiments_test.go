@@ -103,12 +103,12 @@ func TestCheapExperimentsPass(t *testing.T) {
 }
 
 func TestCostsOfDerivation(t *testing.T) {
-	ms, err := newMachineSet()
+	gc, err := newGCel()
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := costsOf(ms.gcel)
-	if c.Alpha != ms.gcel.Compute.Alpha() {
+	c := costsOf(gc)
+	if c.Alpha != gc.Compute.Alpha() {
 		t.Fatal("alpha not taken from the machine")
 	}
 	if c.MergeC <= 0 || c.OpC <= 0 || c.SortGamma <= 0 {
@@ -120,11 +120,11 @@ func TestCostsOfDerivation(t *testing.T) {
 }
 
 func TestModelsFor(t *testing.T) {
-	ms, err := newMachineSet()
+	cm, err := newCM5()
 	if err != nil {
 		t.Fatal(err)
 	}
-	md, err := modelsFor(ms.cm5, "cm5", 64)
+	md, err := modelsFor(cm, "cm5", 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestModelsFor(t *testing.T) {
 	if md.ebsp.Tunb == nil {
 		t.Fatal("E-BSP without Tunb")
 	}
-	if _, err := modelsFor(ms.cm5, "vax", 64); err == nil {
+	if _, err := modelsFor(cm, "vax", 64); err == nil {
 		t.Fatal("unknown reference accepted")
 	}
 }

@@ -49,13 +49,13 @@ func runMatMulSweep(ctx *Context, mk machineFactory, q int, ns []int, v matmul.V
 }
 
 func runFig03(ctx *Context) (*Outcome, error) {
-	ms, err := newMachineSet()
+	m, err := newMasPar()
 	if err != nil {
 		return nil, err
 	}
 	out := &Outcome{ID: "fig03", Title: "MP-BSP matmul on the MasPar"}
 	const q = 8
-	md, err := modelsFor(ms.maspar, "maspar", q*q*q)
+	md, err := modelsFor(m, "maspar", q*q*q)
 	if err != nil {
 		return nil, err
 	}
@@ -75,13 +75,13 @@ func runFig03(ctx *Context) (*Outcome, error) {
 }
 
 func runFig04(ctx *Context) (*Outcome, error) {
-	ms, err := newMachineSet()
+	m, err := newCM5()
 	if err != nil {
 		return nil, err
 	}
 	out := &Outcome{ID: "fig04", Title: "BSP matmul on the CM-5"}
 	const q = 4
-	md, err := modelsFor(ms.cm5, "cm5", q*q*q)
+	md, err := modelsFor(m, "cm5", q*q*q)
 	if err != nil {
 		return nil, err
 	}
@@ -110,13 +110,13 @@ func runFig04(ctx *Context) (*Outcome, error) {
 }
 
 func runFig08(ctx *Context) (*Outcome, error) {
-	ms, err := newMachineSet()
+	m, err := newMasPar()
 	if err != nil {
 		return nil, err
 	}
 	out := &Outcome{ID: "fig08", Title: "MP-BPRAM matmul on the MasPar"}
 	const q = 8
-	md, err := modelsFor(ms.maspar, "maspar", q*q*q)
+	md, err := modelsFor(m, "maspar", q*q*q)
 	if err != nil {
 		return nil, err
 	}
@@ -137,13 +137,13 @@ func runFig08(ctx *Context) (*Outcome, error) {
 }
 
 func runFig09(ctx *Context) (*Outcome, error) {
-	ms, err := newMachineSet()
+	m, err := newCM5()
 	if err != nil {
 		return nil, err
 	}
 	out := &Outcome{ID: "fig09", Title: "MP-BPRAM matmul on the CM-5"}
 	const q = 4
-	md, err := modelsFor(ms.cm5, "cm5", q*q*q)
+	md, err := modelsFor(m, "cm5", q*q*q)
 	if err != nil {
 		return nil, err
 	}

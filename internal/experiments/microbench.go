@@ -129,10 +129,6 @@ func runFig02(ctx *Context) (*Outcome, error) {
 func runFig07(ctx *Context) (*Outcome, error) {
 	out := &Outcome{ID: "fig07", Title: "h-h permutations on the GCel"}
 	sw := ctx.sweeper(newGCel)
-	// This is the drift study: finish skews and one chained RNG stream are
-	// carried across the trial's steps on purpose, so every step must be
-	// simulated — bypass the phase memo cache.
-	sw.NoPhaseCache = true
 	hs := ctx.sweep([]int{64, 256, 384, 512}, []int{32, 64, 128, 192, 256, 320, 384, 448, 512, 640})
 	trials := ctx.trials(4, 20)
 	base := sim.NewRNG(ctx.Seed ^ 3)

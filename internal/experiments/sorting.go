@@ -18,14 +18,13 @@ func init() {
 }
 
 // bitonicSweep measures time-per-key over keys-per-processor values, one
-// worker-private machine per task. noMemo bypasses the phase memo cache
-// for every superstep of the sweep (the desync/drift study needs it).
-func bitonicSweep(ctx *Context, mk machineFactory, mms []int, v bitonic.Variant, barrierEvery int, seed uint64, noMemo bool,
+// worker-private machine per task.
+func bitonicSweep(ctx *Context, mk machineFactory, mms []int, v bitonic.Variant, barrierEvery int, seed uint64,
 	predict func(mm int) sim.Time, name string) (core.Series, error) {
 
 	perKey, err := sweepGrid(ctx, mk, mms, func(m *machine.Machine, mm int) (float64, error) {
 		res, err := bitonic.Run(m, bitonic.Config{KeysPerProc: mm, Variant: v, BarrierEvery: barrierEvery,
-			Seed: seed + uint64(mm), DisablePatternCache: noMemo})
+			Seed: seed + uint64(mm)})
 		if err != nil {
 			return 0, err
 		}
@@ -44,18 +43,18 @@ func bitonicSweep(ctx *Context, mk machineFactory, mms []int, v bitonic.Variant,
 }
 
 func runFig05(ctx *Context) (*Outcome, error) {
-	ms, err := newMachineSet()
+	m, err := newMasPar()
 	if err != nil {
 		return nil, err
 	}
 	out := &Outcome{ID: "fig05", Title: "bitonic time per key on the MasPar (MP-BSP)"}
-	md, err := modelsFor(ms.maspar, "maspar", ms.maspar.P())
+	md, err := modelsFor(m, "maspar", m.P())
 	if err != nil {
 		return nil, err
 	}
 	mms := ctx.sweep([]int{16, 64}, []int{4, 16, 64, 256, 1024})
-	s, err := bitonicSweep(ctx, newMasPar, mms, bitonic.Word, 0, ctx.Seed, false,
-		func(mm int) sim.Time { return core.PredictBitonicMPBSP(md.mpbsp, md.costs, mm*ms.maspar.P()) },
+	s, err := bitonicSweep(ctx, newMasPar, mms, bitonic.Word, 0, ctx.Seed,
+		func(mm int) sim.Time { return core.PredictBitonicMPBSP(md.mpbsp, md.costs, mm*m.P()) },
 		"bitonic time/key (measured vs MP-BSP prediction)")
 	if err != nil {
 		return nil, err
@@ -70,25 +69,23 @@ func runFig05(ctx *Context) (*Outcome, error) {
 }
 
 func runFig06(ctx *Context) (*Outcome, error) {
-	ms, err := newMachineSet()
+	m, err := newGCel()
 	if err != nil {
 		return nil, err
 	}
 	out := &Outcome{ID: "fig06", Title: "bitonic time per key on the GCel (BSP)"}
-	md, err := modelsFor(ms.gcel, "gcel", ms.gcel.P())
+	md, err := modelsFor(m, "gcel", m.P())
 	if err != nil {
 		return nil, err
 	}
-	predict := func(mm int) sim.Time { return core.PredictBitonicBSP(md.bsp, md.costs, mm*ms.gcel.P()) }
+	predict := func(mm int) sim.Time { return core.PredictBitonicBSP(md.bsp, md.costs, mm*m.P()) }
 	mms := ctx.sweep([]int{256, 512}, []int{128, 256, 512, 1024, 2048, 4096})
-	// The desync/drift study: both arms bypass the phase memo cache so
-	// every superstep of the drifting execution is actually simulated.
-	unsync, err := bitonicSweep(ctx, newGCel, mms, bitonic.Word, 0, ctx.Seed, true, predict,
+	unsync, err := bitonicSweep(ctx, newGCel, mms, bitonic.Word, 0, ctx.Seed, predict,
 		"bitonic time/key unsynchronized (measured vs BSP prediction)")
 	if err != nil {
 		return nil, err
 	}
-	synced, err := bitonicSweep(ctx, newGCel, mms, bitonic.Word, 256, ctx.Seed, true, predict,
+	synced, err := bitonicSweep(ctx, newGCel, mms, bitonic.Word, 256, ctx.Seed, predict,
 		"bitonic time/key synchronized every 256 (measured vs BSP prediction)")
 	if err != nil {
 		return nil, err
@@ -103,18 +100,18 @@ func runFig06(ctx *Context) (*Outcome, error) {
 }
 
 func runFig10(ctx *Context) (*Outcome, error) {
-	ms, err := newMachineSet()
+	m, err := newMasPar()
 	if err != nil {
 		return nil, err
 	}
 	out := &Outcome{ID: "fig10", Title: "MP-BPRAM bitonic time per key on the MasPar"}
-	md, err := modelsFor(ms.maspar, "maspar", ms.maspar.P())
+	md, err := modelsFor(m, "maspar", m.P())
 	if err != nil {
 		return nil, err
 	}
 	mms := ctx.sweep([]int{64, 256}, []int{16, 64, 256, 1024, 4096})
-	s, err := bitonicSweep(ctx, newMasPar, mms, bitonic.Block, 0, ctx.Seed, false,
-		func(mm int) sim.Time { return core.PredictBitonicBPRAM(md.bpram, md.costs, mm*ms.maspar.P()) },
+	s, err := bitonicSweep(ctx, newMasPar, mms, bitonic.Block, 0, ctx.Seed,
+		func(mm int) sim.Time { return core.PredictBitonicBPRAM(md.bpram, md.costs, mm*m.P()) },
 		"bitonic time/key (measured vs MP-BPRAM prediction)")
 	if err != nil {
 		return nil, err
@@ -129,18 +126,18 @@ func runFig10(ctx *Context) (*Outcome, error) {
 }
 
 func runFig11(ctx *Context) (*Outcome, error) {
-	ms, err := newMachineSet()
+	m, err := newGCel()
 	if err != nil {
 		return nil, err
 	}
 	out := &Outcome{ID: "fig11", Title: "MP-BPRAM bitonic time per key on the GCel"}
-	md, err := modelsFor(ms.gcel, "gcel", ms.gcel.P())
+	md, err := modelsFor(m, "gcel", m.P())
 	if err != nil {
 		return nil, err
 	}
 	mms := ctx.sweep([]int{512, 2048}, []int{128, 512, 2048, 4096, 8192})
-	s, err := bitonicSweep(ctx, newGCel, mms, bitonic.Block, 0, ctx.Seed, false,
-		func(mm int) sim.Time { return core.PredictBitonicBPRAM(md.bpram, md.costs, mm*ms.gcel.P()) },
+	s, err := bitonicSweep(ctx, newGCel, mms, bitonic.Block, 0, ctx.Seed,
+		func(mm int) sim.Time { return core.PredictBitonicBPRAM(md.bpram, md.costs, mm*m.P()) },
 		"bitonic time/key (measured vs MP-BPRAM prediction)")
 	if err != nil {
 		return nil, err

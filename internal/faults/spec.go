@@ -116,13 +116,6 @@ type Spec struct {
 	Watchdog Watchdog
 }
 
-// Zero reports whether the spec injects nothing at all, in which case a
-// plan built from it is equivalent to running without faults.
-func (s *Spec) Zero() bool {
-	return s.DropRate == 0 && s.CorruptRate == 0 && s.DelayRate == 0 && s.DuplicateRate == 0 &&
-		len(s.LinkKills) == 0 && len(s.Stalls) == 0 && len(s.Crashes) == 0
-}
-
 // Validate checks the spec's invariants.
 func (s *Spec) Validate() error {
 	rates := [...]struct {

@@ -6,8 +6,6 @@
 package backends
 
 import (
-	"fmt"
-
 	"quantpar/internal/machine"
 	"quantpar/internal/router/fattree"
 	"quantpar/internal/router/maspar"
@@ -23,29 +21,17 @@ func init() {
 
 // NewMasPar builds the 1024-PE MasPar MP-1 model.
 func NewMasPar() (*machine.Machine, error) {
-	r, err := maspar.New(maspar.DefaultParams())
-	if err != nil {
-		return nil, fmt.Errorf("machine: %w", err)
-	}
-	return machine.Assemble("MasPar MP-1", r, DefaultMasParCompute(), 4, true)
+	return CustomMasPar("MasPar MP-1", maspar.DefaultParams(), DefaultMasParCompute())
 }
 
 // NewGCel builds the 64-node Parsytec GCel model.
 func NewGCel() (*machine.Machine, error) {
-	r, err := mesh.New(mesh.DefaultParams())
-	if err != nil {
-		return nil, fmt.Errorf("machine: %w", err)
-	}
-	return machine.Assemble("Parsytec GCel", r, DefaultGCelCompute(), 4, false)
+	return CustomMesh("Parsytec GCel", mesh.DefaultParams(), DefaultGCelCompute())
 }
 
 // NewCM5 builds the 64-node CM-5 model (Split-C, no vector units).
 func NewCM5() (*machine.Machine, error) {
-	r, err := fattree.New(fattree.DefaultParams())
-	if err != nil {
-		return nil, fmt.Errorf("machine: %w", err)
-	}
-	return machine.Assemble("TMC CM-5", r, DefaultCM5Compute(), 8, false)
+	return CustomFatTree("TMC CM-5", fattree.DefaultParams(), DefaultCM5Compute())
 }
 
 // DefaultGCelCompute returns the T805 compute model used by NewGCel:

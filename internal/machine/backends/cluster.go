@@ -3,7 +3,6 @@ package backends
 import (
 	"fmt"
 
-	"quantpar/internal/faults"
 	"quantpar/internal/machine"
 	"quantpar/internal/netsim"
 	"quantpar/internal/sim"
@@ -72,10 +71,9 @@ func NewClusterMachine(name string, p ClusterParams, c machine.Compute) (*machin
 	if err != nil {
 		return nil, fmt.Errorf("machine: %w", err)
 	}
-	// plan mirrors the core's active fault plan (set through the OnFaultPlan
-	// hook below) so the latency closure can route around killed links; bfs
-	// is the route-around search scratch.
-	var plan *faults.Plan
+	// The latency closure reads the core's active fault plan to route
+	// around killed links; bfs is the route-around search scratch.
+	var core *netsim.Core
 	var bfs topology.PathScratch
 	eng, err := netsim.NewActive(netsim.ActiveConfig{
 		Procs: torus.Nodes(),
@@ -91,7 +89,7 @@ func NewClusterMachine(name string, p ClusterParams, c machine.Compute) (*machin
 		Window: p.Window,
 		Latency: func(src, dst, bytes int) sim.Time {
 			hops := 0
-			if plan != nil && plan.HasDeadLinks() {
+			if plan := core.FaultPlan(); plan != nil && plan.HasDeadLinks() {
 				h, err := torus.HopsAvoid(src, dst, plan.LinkDead, &bfs)
 				if err != nil {
 					// A cut that disconnects the pair surfaces as a panic
@@ -118,20 +116,8 @@ func NewClusterMachine(name string, p ClusterParams, c machine.Compute) (*machin
 		F64(p.THop, p.TByteNet).
 		Jitter(p.Jitter).
 		F64(p.BarrierCost)
-	core := netsim.NewCore(spec, eng)
-	core.OnFaultPlan(func(pl *faults.Plan) { plan = pl })
+	core = netsim.NewCore(spec, eng)
 	return machine.Assemble(name, core, c, 8, false)
-}
-
-// ClusterEdges returns the undirected torus links of a cluster with the
-// given parameters, in the deterministic order fault plans use to pick
-// links to kill.
-func ClusterEdges(p ClusterParams) ([][2]int, error) {
-	torus, err := topology.NewTorus(p.Ary, p.Dims)
-	if err != nil {
-		return nil, fmt.Errorf("machine: %w", err)
-	}
-	return torus.Edges(), nil
 }
 
 // NewCluster builds the default 64-node modern-cluster model; it is the

@@ -27,9 +27,12 @@ func TestCrossValidateGCelHRelations(t *testing.T) {
 	}
 	base := sim.NewRNG(41)
 	for _, h := range []int{1, 2, 4, 8} {
-		s := calibrate.Measure(m.Router, func(rng *sim.RNG) *comm.Step {
+		s, err := calibrate.Fixed(m.Router).Measure(func(_ comm.Router, rng *sim.RNG) *comm.Step {
 			return calibrate.FullHRelation(m.P(), h, 4, rng)
 		}, 4, base.Split(uint64(h)))
+		if err != nil {
+			t.Fatal(err)
+		}
 		pred := float64(ref.G)*float64(h) + float64(ref.L)
 		if s.Mean < 0.6*pred || s.Mean > 1.5*pred {
 			t.Fatalf("h=%d: measured %.0f outside band of g*h+L=%.0f", h, s.Mean, pred)
@@ -48,9 +51,12 @@ func TestCrossValidateGCelBlocks(t *testing.T) {
 	}
 	base := sim.NewRNG(43)
 	for _, bytes := range []int{256, 1024, 8192} {
-		s := calibrate.Measure(m.Router, func(rng *sim.RNG) *comm.Step {
+		s, err := calibrate.Fixed(m.Router).Measure(func(_ comm.Router, rng *sim.RNG) *comm.Step {
 			return calibrate.BlockPermutation(m.P(), bytes, rng)
 		}, 4, base.Split(uint64(bytes)))
+		if err != nil {
+			t.Fatal(err)
+		}
 		pred := float64(ref.Sigma)*float64(bytes) + float64(ref.Ell)
 		if s.Mean < 0.6*pred || s.Mean > 1.5*pred {
 			t.Fatalf("bytes=%d: measured %.0f outside band of sigma*m+ell=%.0f", bytes, s.Mean, pred)
@@ -69,9 +75,12 @@ func TestCrossValidateCM5HRelations(t *testing.T) {
 	}
 	base := sim.NewRNG(47)
 	for _, h := range []int{2, 8, 32} {
-		s := calibrate.Measure(m.Router, func(rng *sim.RNG) *comm.Step {
+		s, err := calibrate.Fixed(m.Router).Measure(func(_ comm.Router, rng *sim.RNG) *comm.Step {
 			return calibrate.FullHRelation(m.P(), h, 8, rng)
 		}, 4, base.Split(uint64(h)))
+		if err != nil {
+			t.Fatal(err)
+		}
 		pred := float64(ref.G)*float64(h) + float64(ref.L)
 		if s.Mean < 0.5*pred || s.Mean > 1.6*pred {
 			t.Fatalf("h=%d: measured %.0f outside band of g*h+L=%.0f", h, s.Mean, pred)
@@ -90,9 +99,12 @@ func TestCrossValidateMasParPartialPerms(t *testing.T) {
 	}
 	base := sim.NewRNG(53)
 	for _, active := range []int{16, 128, 1024} {
-		s := calibrate.Measure(m.Router, func(rng *sim.RNG) *comm.Step {
+		s, err := calibrate.Fixed(m.Router).Measure(func(_ comm.Router, rng *sim.RNG) *comm.Step {
 			return calibrate.PartialPermutation(m.P(), active, 4, rng)
 		}, 6, base.Split(uint64(active)))
+		if err != nil {
+			t.Fatal(err)
+		}
 		pred := ref.Tunb(active)
 		if s.Mean < 0.5*pred || s.Mean > 1.6*pred {
 			t.Fatalf("active=%d: measured %.0f outside band of T_unb=%.0f", active, s.Mean, pred)

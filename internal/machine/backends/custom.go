@@ -12,8 +12,7 @@ import (
 // The custom constructors build machines with non-default geometry or
 // physical constants, for what-if studies beyond the paper's three
 // platforms ("what would the GCel look like with 256 nodes?"). The preset
-// factories (NewMasPar etc.) are thin wrappers over the same router
-// packages; all of them assemble through machine.Assemble.
+// factories (NewMasPar etc.) call them with the default parameters.
 
 // CustomMesh builds a GCel-style transputer-mesh machine from explicit
 // router parameters and a compute model. Pass mesh.DefaultParams() and

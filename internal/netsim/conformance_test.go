@@ -71,7 +71,7 @@ func TestRouterConformance(t *testing.T) {
 			}
 
 			t.Run("empty step", func(t *testing.T) {
-				res := cached.Route(&comm.Step{Sends: make([][]comm.Msg, p), NoMemo: true}, sim.NewRNG(1))
+				res := raw.Route(&comm.Step{Sends: make([][]comm.Msg, p)}, sim.NewRNG(1))
 				if res.Elapsed < 0 || res.Stats.Msgs != 0 {
 					t.Fatalf("empty step priced %g us, %d msgs", res.Elapsed, res.Stats.Msgs)
 				}
@@ -81,9 +81,9 @@ func TestRouterConformance(t *testing.T) {
 			})
 
 			t.Run("single message", func(t *testing.T) {
-				s := &comm.Step{Sends: make([][]comm.Msg, p), NoMemo: true}
+				s := &comm.Step{Sends: make([][]comm.Msg, p)}
 				s.Sends[0] = []comm.Msg{{Src: 0, Dst: 1, Bytes: 64}}
-				res := cached.Route(s, sim.NewRNG(2))
+				res := raw.Route(s, sim.NewRNG(2))
 				if res.Elapsed <= 0 {
 					t.Fatalf("single message priced %g us", res.Elapsed)
 				}
@@ -93,9 +93,9 @@ func TestRouterConformance(t *testing.T) {
 			})
 
 			t.Run("self send", func(t *testing.T) {
-				s := &comm.Step{Sends: make([][]comm.Msg, p), NoMemo: true}
+				s := &comm.Step{Sends: make([][]comm.Msg, p)}
 				s.Sends[1] = []comm.Msg{{Src: 1, Dst: 1, Bytes: 16}}
-				res := cached.Route(s, sim.NewRNG(3))
+				res := raw.Route(s, sim.NewRNG(3))
 				if res.Stats.Msgs != 1 {
 					t.Fatalf("self-send stats %+v", res.Stats)
 				}
@@ -114,7 +114,7 @@ func TestRouterConformance(t *testing.T) {
 						t.Fatalf("panic %v does not identify the netsim core", r)
 					}
 				}()
-				cached.Route(&comm.Step{Sends: make([][]comm.Msg, p+1), NoMemo: true}, sim.NewRNG(4))
+				raw.Route(&comm.Step{Sends: make([][]comm.Msg, p+1)}, sim.NewRNG(4))
 			})
 
 			t.Run("memo protocol", func(t *testing.T) {
@@ -138,16 +138,6 @@ func TestRouterConformance(t *testing.T) {
 				}
 				if hit.Stats != miss.Stats {
 					t.Fatalf("replay stats %+v != simulated %+v", hit.Stats, miss.Stats)
-				}
-
-				// NoMemo steps bypass the cache in both directions.
-				n := steadyStep(p, 24)
-				n.NoMemo = true
-				if res := cached.Route(n, sim.NewRNG(7)); res.Replayed {
-					t.Fatal("NoMemo step replayed from the cache")
-				}
-				if res := cached.Route(n, sim.NewRNG(7)); res.Replayed {
-					t.Fatal("repeated NoMemo step replayed from the cache")
 				}
 			})
 		})

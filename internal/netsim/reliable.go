@@ -41,26 +41,22 @@ type relMsg struct {
 
 // SetFaultPlan activates (or with nil deactivates) fault injection on
 // this backend. The plan's watchdog limits are applied to the engine;
-// clearing the plan restores the defaults. Policy packages that need to
-// react (e.g. switch to route-around path policies) register interest via
-// OnFaultPlan.
+// clearing the plan restores the defaults.
 func (c *Core) SetFaultPlan(p *faults.Plan) {
 	c.plan = p
-	if wd := c.watchdog(); wd != nil {
-		if p != nil {
-			wd.MaxEvents = p.Spec().Watchdog.MaxEvents
-			wd.Horizon = p.Spec().Watchdog.Horizon
-		} else {
-			wd.MaxEvents = 0
-			wd.Horizon = 0
-		}
-	}
-	for _, fn := range c.onPlan {
-		fn(p)
+	wd := c.eng.Watchdog()
+	if p != nil {
+		wd.MaxEvents = p.Spec().Watchdog.MaxEvents
+		wd.Horizon = p.Spec().Watchdog.Horizon
+	} else {
+		wd.MaxEvents = 0
+		wd.Horizon = 0
 	}
 }
 
 // FaultPlan returns the active fault plan, nil when faults are off.
+// Topology policies read it on every transit to switch between the fast
+// single-path mode and route-around.
 func (c *Core) FaultPlan() *faults.Plan { return c.plan }
 
 // FaultsActive reports whether a fault plan is active; the phase memo
@@ -73,22 +69,6 @@ func (c *Core) ResetFaultClock() {
 	if c.plan != nil {
 		c.plan.ResetClock()
 	}
-}
-
-// OnFaultPlan registers a callback invoked on every SetFaultPlan change,
-// and immediately with the current plan. Topology policies use it to swap
-// their routing between the fast single-path mode and route-around.
-func (c *Core) OnFaultPlan(fn func(*faults.Plan)) {
-	c.onPlan = append(c.onPlan, fn)
-	fn(c.plan)
-}
-
-// watchdog returns the engine's watchdog, nil for engines without one.
-func (c *Core) watchdog() *sim.Watchdog {
-	if w, ok := c.eng.(interface{ Watchdog() *sim.Watchdog }); ok {
-		return w.Watchdog()
-	}
-	return nil
 }
 
 // engineRoute prices one protocol sub-step on the engine. It exists as a

@@ -64,9 +64,12 @@ func (s *Spec) UsesRNG() bool { return s.usesRNG }
 
 // Engine is one instantiated simulation engine (Phased, Active or Wave):
 // the part of a router that prices steps but has no name or cache identity.
+// Watchdog exposes the engine's livelock guard, which the core labels and
+// a fault plan tunes.
 type Engine interface {
 	Procs() int
 	Route(step *comm.Step, rng *sim.RNG) comm.Result
+	Watchdog() *sim.Watchdog
 }
 
 // Core couples a Spec with an Engine into a full router backend: it
@@ -79,8 +82,7 @@ type Core struct {
 	eng  Engine
 
 	// Fault-injection state (nil plan = faults off, zero-cost fast path).
-	plan   *faults.Plan
-	onPlan []func(*faults.Plan)
+	plan *faults.Plan
 
 	// Reliable-protocol scratch, allocated on first faulty Route.
 	relMsgs  []relMsg
@@ -97,9 +99,7 @@ type Core struct {
 // one) with the model name so livelock aborts identify their router.
 func NewCore(spec *Spec, eng Engine) *Core {
 	c := &Core{spec: spec, eng: eng}
-	if w, ok := eng.(interface{ Watchdog() *sim.Watchdog }); ok {
-		w.Watchdog().Label = spec.name
-	}
+	eng.Watchdog().Label = spec.name
 	if a, ok := eng.(*Active); ok {
 		a.q.Label = spec.name
 	}

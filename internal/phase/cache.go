@@ -8,8 +8,7 @@ import (
 	"quantpar/internal/sim"
 )
 
-// Process-wide cache counters, surfaced through machine.PhaseHits /
-// machine.PhaseMisses / machine.SimEvents the same way machine.Builds is.
+// Process-wide cache counters, read through Hits, Misses and SimEvents.
 var (
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -30,13 +29,10 @@ func Misses() int64 { return misses.Load() }
 // contribute nothing — that is the point.
 func SimEvents() int64 { return simEvents.Load() }
 
-// SetEnabled turns the memo cache on or off process-wide. Off means every
-// Route simulates, exactly as if each step carried NoMemo; results are
-// identical either way. The equivalence tests flip this to prove it.
+// SetEnabled turns the memo cache on or off process-wide; it is the only
+// switch. Off means every Route simulates; results are identical either
+// way. The equivalence tests flip this to prove it.
 func SetEnabled(on bool) { disabled.Store(!on) }
-
-// Enabled reports whether the memo cache is active.
-func Enabled() bool { return !disabled.Load() }
 
 // memoKey identifies one simulated phase outcome: the router (identity and
 // constants), the pattern digest, and — for routers that draw jittered
@@ -135,9 +131,9 @@ func (c *CachedRouter) Unwrap() comm.Router { return c.inner }
 
 // Route prices the step, replaying a stored outcome when the phase has
 // been simulated before and simulating (then storing) otherwise. Steps
-// marked NoMemo bypass the cache entirely in both directions.
+// priced under an active fault plan bypass the cache in both directions.
 func (c *CachedRouter) Route(step *comm.Step, rng *sim.RNG) comm.Result {
-	if step.NoMemo || disabled.Load() || (c.faulty != nil && c.faulty()) {
+	if disabled.Load() || (c.faulty != nil && c.faulty()) {
 		res := c.inner.Route(step, rng)
 		simEvents.Add(int64(res.Events))
 		return res

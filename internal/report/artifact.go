@@ -13,9 +13,3 @@ import (
 func FromArtifact(w io.Writer, a *runstore.Artifact, plot bool) {
 	WriteOutcome(w, a.Outcome(), plot)
 }
-
-// ExportArtifact writes an artifact's series and checks as CSV files under
-// dir, exactly as ExportOutcome does for a live outcome.
-func ExportArtifact(dir string, a *runstore.Artifact) ([]string, error) {
-	return ExportOutcome(dir, a.Outcome())
-}

@@ -19,7 +19,6 @@ import (
 	"fmt"
 
 	"quantpar/internal/comm"
-	"quantpar/internal/faults"
 	"quantpar/internal/netsim"
 	"quantpar/internal/sim"
 	"quantpar/internal/topology"
@@ -74,13 +73,8 @@ type Router struct {
 	*netsim.Core
 	p       Params
 	grid    *topology.Mesh
-	pathBuf []int // transit scratch, reused across messages
-
-	// Fault-plan state: plan mirrors the core's active plan (set through
-	// the OnFaultPlan hook) so transit can route around killed links; bfs
-	// is the route-around search scratch.
-	plan *faults.Plan
-	bfs  topology.PathScratch
+	pathBuf []int                // transit scratch, reused across messages
+	bfs     topology.PathScratch // route-around search scratch
 }
 
 // New builds a router from params.
@@ -120,7 +114,6 @@ func New(p Params) (*Router, error) {
 		Jitter(p.Jitter).
 		F64(p.BarrierCost)
 	r.Core = netsim.NewCore(spec, eng)
-	r.Core.OnFaultPlan(func(p *faults.Plan) { r.plan = p })
 	return r, nil
 }
 
@@ -141,13 +134,13 @@ func (r *Router) transit(src, dst, bytes int, depart sim.Time, links *netsim.Lin
 		return depart
 	}
 	var path []int
-	if r.plan != nil && r.plan.HasDeadLinks() {
+	if plan := r.FaultPlan(); plan != nil && plan.HasDeadLinks() {
 		// Route around killed links with a deterministic BFS; a cut that
 		// disconnects the pair surfaces as a panic carrying an error that
 		// wraps topology.ErrPartitioned, which the BSP engine converts to
 		// a structured run failure.
 		var err error
-		path, err = r.grid.PathAvoid(r.pathBuf[:0], src, dst, r.plan.LinkDead, &r.bfs)
+		path, err = r.grid.PathAvoid(r.pathBuf[:0], src, dst, plan.LinkDead, &r.bfs)
 		if err != nil {
 			panic(err)
 		}

@@ -105,12 +105,3 @@ func (p *BufferPool) Put(b []byte) {
 	}
 	p.classes[c] = append(p.classes[c], b[:cap(b)])
 }
-
-// Free reports the total number of pooled buffers across all classes.
-func (p *BufferPool) Free() int {
-	n := 0
-	for _, list := range p.classes {
-		n += len(list)
-	}
-	return n
-}

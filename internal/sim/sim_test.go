@@ -133,31 +133,6 @@ func TestEventQueuePushBatchMatchesPush(t *testing.T) {
 	}
 }
 
-// TestEventQueuePopAtTime drains a same-timestamp cohort and checks both
-// the FIFO ordering within the cohort and the refusal to pop past it.
-func TestEventQueuePopAtTime(t *testing.T) {
-	var q EventQueue
-	if _, ok := q.PopAtTime(0); ok {
-		t.Fatal("PopAtTime on an empty queue returned an event")
-	}
-	q.Push(Event{At: 2, Who: 100})
-	for i := 0; i < 5; i++ {
-		q.Push(Event{At: 1, Who: i})
-	}
-	for i := 0; i < 5; i++ {
-		e, ok := q.PopAtTime(1)
-		if !ok || e.Who != i {
-			t.Fatalf("cohort pop %d: got (%+v, %v)", i, e, ok)
-		}
-	}
-	if _, ok := q.PopAtTime(1); ok {
-		t.Fatal("PopAtTime(1) popped past the cohort")
-	}
-	if e := q.Pop(); e.Who != 100 {
-		t.Fatalf("event after cohort: %+v", e)
-	}
-}
-
 // TestEventQueueReserve checks that a reservation eliminates growth
 // reallocation for exactly the reserved number of pushes.
 func TestEventQueueReserve(t *testing.T) {
@@ -174,35 +149,6 @@ func TestEventQueueReserve(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("reserved pushes allocate %.1f allocs/op, want 0", allocs)
-	}
-}
-
-// TestEventQueueResetShrink pins the peak-memory contract: a queue grown
-// past maxCap releases its backing array, one within maxCap keeps it.
-func TestEventQueueResetShrink(t *testing.T) {
-	var q EventQueue
-	for i := 0; i < 1000; i++ {
-		q.Push(Event{At: Time(i)})
-	}
-	q.ResetShrink(2000)
-	if cap(q.h) == 0 {
-		t.Fatal("ResetShrink released an array within maxCap")
-	}
-	if q.Len() != 0 {
-		t.Fatalf("len %d after ResetShrink", q.Len())
-	}
-	for i := 0; i < 1000; i++ {
-		q.Push(Event{At: Time(i)})
-	}
-	q.ResetShrink(64)
-	if cap(q.h) != 0 {
-		t.Fatalf("ResetShrink kept a %d-event array beyond maxCap 64", cap(q.h))
-	}
-	// The queue must remain usable after shrinking.
-	q.Push(Event{At: 3})
-	q.Push(Event{At: 1})
-	if e := q.Pop(); e.At != 1 {
-		t.Fatalf("post-shrink pop got %+v", e)
 	}
 }
 

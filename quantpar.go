@@ -10,7 +10,7 @@
 // This package is the facade: it re-exports the common entry points so
 // that programs (see the examples directory) need a single import.
 //
-//	m, _ := quantpar.NewCM5()
+//	m, _ := quantpar.NewMachine("cm5")
 //	res, _ := quantpar.RunMatMul(m, quantpar.MatMulConfig{
 //		N: 256, Q: 4, Variant: quantpar.MatMulBSPStaggered,
 //	})
@@ -43,16 +43,6 @@ func NewMachine(name string) (*Machine, error) { return machine.Build(name) }
 
 // Machines returns the registered machine names, sorted.
 func Machines() []string { return machine.Names() }
-
-// Machine constructors for the paper's three experimental platforms,
-// preserved as conveniences over the registry.
-func NewMasPar() (*Machine, error) { return machine.Build("maspar") }
-
-// NewGCel builds the 64-node Parsytec GCel model.
-func NewGCel() (*Machine, error) { return machine.Build("gcel") }
-
-// NewCM5 builds the 64-node CM-5 model.
-func NewCM5() (*Machine, error) { return machine.Build("cm5") }
 
 // ReferenceParams are the calibrated Table 1 parameters of a machine.
 type ReferenceParams = machine.ReferenceParams
@@ -250,5 +240,5 @@ type CalibrationSpec = calibrate.Spec
 
 // Calibrate runs the Table 1 microbenchmarks against a machine's router.
 func Calibrate(m *Machine, spec CalibrationSpec, seed uint64) (calibrate.Params, error) {
-	return calibrate.Extract(m.Router, spec, sim.NewRNG(seed))
+	return calibrate.Fixed(m.Router).Extract(spec, sim.NewRNG(seed))
 }

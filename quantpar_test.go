@@ -10,7 +10,7 @@ import (
 // every machine, run each algorithm once through the public API, verify
 // results, and confirm the experiment registry is complete.
 func TestFacadeEndToEnd(t *testing.T) {
-	cm, err := quantpar.NewCM5()
+	cm, err := quantpar.NewMachine("cm5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatalf("matmul result %+v", res)
 	}
 
-	gc, err := quantpar.NewGCel()
+	gc, err := quantpar.NewMachine("gcel")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 }
 
 func TestFacadeCustomProgram(t *testing.T) {
-	cm, err := quantpar.NewCM5()
+	cm, err := quantpar.NewMachine("cm5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestFacadeReferenceAndCalibrate(t *testing.T) {
 	if ref.G <= 0 {
 		t.Fatalf("reference %+v", ref)
 	}
-	cm, err := quantpar.NewCM5()
+	cm, err := quantpar.NewMachine("cm5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestFacadeReferenceAndCalibrate(t *testing.T) {
 }
 
 func TestFacadeCollectives(t *testing.T) {
-	m, err := quantpar.NewCM5()
+	m, err := quantpar.NewMachine("cm5")
 	if err != nil {
 		t.Fatal(err)
 	}
