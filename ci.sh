@@ -5,9 +5,10 @@
 #   2. go vet finds nothing;
 #   3. the full test suite passes under the race detector with shuffled
 #      test order (-shuffle=on), so no test depends on a sibling running
-#      first;
-#   4. qpvet (internal/analysis) reports no determinism, lock-discipline,
-#      buffer-lease, hot-path allocation, sim.Time, RNG-stream, or
+#      first, and the superstep engine's tests pass ten more times under
+#      it, so a rare interleaving of its processor goroutines gets caught;
+#   4. qpvet (internal/analysis) reports no determinism, buffer-lease,
+#      hot-path allocation, sim.Time, RNG-stream, fault-RNG, or
 #      artifact-encoding violations anywhere in the module beyond the
 #      committed QPVET_baseline.json (kept empty in steady state), and no
 #      //qpvet:ignore directive has gone stale (-suppaudit);
@@ -70,6 +71,7 @@ stage "go test -race -shuffle=on ./..."
 # default 10-minute per-package budget under the race detector when the
 # whole suite shares the machine, so the budget is raised explicitly.
 go test -race -shuffle=on -timeout 1800s ./...
+go test -race -count=10 ./internal/bsplib/
 
 stage "qpvet -suppaudit -baseline QPVET_baseline.json ./..."
 go run ./cmd/qpvet -suppaudit -baseline QPVET_baseline.json ./...

@@ -17,6 +17,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -72,13 +73,12 @@ func main() {
 		return
 	}
 
+	// runtime/pprof drops the errors of its own writes, so both profiles
+	// are built in memory and written out by writeProfile, which reports
+	// a failed create, write or close.
+	var cpuProf bytes.Buffer
 	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "qpexp:", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
+		if err := pprof.StartCPUProfile(&cpuProf); err != nil {
 			fmt.Fprintln(os.Stderr, "qpexp:", err)
 			os.Exit(1)
 		}
@@ -90,20 +90,24 @@ func main() {
 
 	if *cpuProfile != "" {
 		pprof.StopCPUProfile()
+		code = writeProfile(*cpuProfile, &cpuProf, code)
 	}
 	if *memProfile != "" {
-		f, err := os.Create(*memProfile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "qpexp:", err)
-			os.Exit(1)
-		}
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "qpexp:", err)
-			os.Exit(1)
-		}
-		f.Close()
+		var heapProf bytes.Buffer
+		pprof.WriteHeapProfile(&heapProf) // writing into a Buffer cannot fail
+		code = writeProfile(*memProfile, &heapProf, code)
 	}
 	os.Exit(code)
+}
+
+// writeProfile writes a profile to path and returns the exit code: code,
+// or 1 if the profile could not be written.
+func writeProfile(path string, prof *bytes.Buffer, code int) int {
+	if err := os.WriteFile(path, prof.Bytes(), 0o644); err != nil {
+		fmt.Fprintln(os.Stderr, "qpexp:", err)
+		return 1
+	}
+	return code
 }
 
 func runAll(opt *options) int {

@@ -1,8 +1,10 @@
 package matmul
 
 import (
+	"errors"
 	"testing"
 
+	"quantpar/internal/faults"
 	"quantpar/internal/machine"
 	_ "quantpar/internal/machine/backends"
 )
@@ -146,5 +148,30 @@ func TestPartialMachineUse(t *testing.T) {
 	}
 	if res.MaxErr > tolFor(m) {
 		t.Fatalf("max err %g", res.MaxErr)
+	}
+}
+
+// TestFaultedRunAfterReturnsFails runs Fig 3's MasPar staggered BSP
+// multiply at q = 8, where 512 of the 1024 PEs have no work and return at
+// once, on a machine whose PE 3 crashed at time zero. The first superstep
+// then exhausts a delivery budget while half the processors have already
+// returned; the run must report that as an error, not crash.
+func TestFaultedRunAfterReturnsFails(t *testing.T) {
+	m := machines(t)["maspar"]
+	plan, err := faults.NewPlan(faults.Spec{
+		Seed:     7,
+		DropRate: 0.05,
+		Crashes:  []faults.Crash{{Proc: 3, At: 0}},
+		Protocol: faults.Protocol{MaxRetries: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := machine.InjectFaults(m, plan); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Run(m, Config{N: 64, Q: 8, Variant: BSPStaggered, Seed: 1996 + 64})
+	if !errors.As(err, new(*faults.DeliveryError)) {
+		t.Fatalf("faulted run returned %v, want a *faults.DeliveryError", err)
 	}
 }

@@ -60,7 +60,7 @@ func (d Diagnostic) String() string {
 
 // Analyzers returns the full suite in a stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{ArtifactEnc, BufLease, Determinism, FaultRNG, HotAlloc, LockDiscipline, SimTime, RNGStream}
+	return []*Analyzer{ArtifactEnc, BufLease, Determinism, FaultRNG, HotAlloc, SimTime, RNGStream}
 }
 
 // ByName returns the named analyzer from the suite.

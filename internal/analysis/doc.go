@@ -2,8 +2,8 @@
 // only (go/ast + go/parser + go/types) loader and analyzer driver that
 // mechanically enforces the invariants the reproduction's substitution
 // strategy rests on (DESIGN.md §2): the discrete-event simulators must be
-// deterministic, their engine must respect its locking discipline, and
-// repeated trials must differ only in their sim.RNG stream index.
+// deterministic, and repeated trials must differ only in their sim.RNG
+// stream index.
 //
 // # Checks
 //
@@ -14,12 +14,6 @@
 //     accounting), which would make results depend on Go's randomized map
 //     iteration order. Packages outside internal/ (cmd/, examples/) may
 //     report wall-clock durations and are exempt.
-//
-//   - lockdiscipline: enforces the *Locked method-suffix convention used
-//     by the superstep engine (internal/bsplib): a *Locked method runs
-//     with the owning struct's mutex already held, so it must not lock or
-//     unlock itself, and its callers must either be *Locked methods or
-//     visibly acquire a lock.
 //
 //   - simtime: sim.Time is a float64 alias, so == and != between Time
 //     values compile but are usually wrong; the analyzer flags them, plus

@@ -19,9 +19,9 @@
 package bsplib
 
 import (
-	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sync"
 
@@ -30,7 +30,6 @@ import (
 	"quantpar/internal/machine"
 	"quantpar/internal/phase"
 	"quantpar/internal/sim"
-	"quantpar/internal/topology"
 	"quantpar/internal/trace"
 )
 
@@ -86,24 +85,31 @@ type outMsg struct {
 	stream  bool
 }
 
-// abortRun is the sentinel panic unwinding processor goroutines when the
-// engine detects an error.
-type abortRun struct{ err error }
+// slot is what a processor files at each synchronization: its outbox and
+// compute charge, or the end of its program with any panic. Processor p
+// writes slots[p] before it marks arrive; the engine reads it after Wait.
+type slot struct {
+	outbox  []outMsg
+	compute sim.Time
+	barrier bool
+	exited  bool
+	err     error
+}
 
+// engine is the state of one run, written only by the goroutine that
+// called Run. A processor writes just its own slot, and reads the engine
+// (its inbox and clock, release, err) only while the engine waits for the
+// step's arrivals.
 type engine struct {
 	m   *machine.Machine
 	n   int
 	opt Options
 
-	mu   sync.Mutex
-	cond *sync.Cond
-	gen  int
-	// arrived counts processors waiting at the current step; done counts
-	// processors whose programs returned.
-	arrived     int
-	done        int
-	stepBarrier bool
-	err         error
+	slots   []slot
+	arrive  sync.WaitGroup // processors yet to file the current step
+	release chan struct{}  // closed once the current step is delivered
+	running []int          // processors whose programs have not returned
+	err     error
 
 	clocks    []sim.Time
 	computeAt []sim.Time
@@ -114,8 +120,8 @@ type engine struct {
 	// buffer at delivery time; the buffers of step k are released back to
 	// the pool during the delivery of step k+1, when no receiver can still
 	// legitimately hold a view (Recv slices are valid only until the next
-	// synchronization). The pool is touched exclusively under e.mu by the
-	// single routing goroutine, so buffer identity is deterministic.
+	// synchronization). Only the engine goroutine touches the pool, so
+	// buffer identity is deterministic.
 	pool          sim.BufferPool
 	delivered     [][]byte // buffers handed out in the current step's inboxes
 	prevDelivered [][]byte // previous step's buffers, released at next delivery
@@ -147,13 +153,24 @@ func newMsgLists(n int) [][]comm.Msg {
 }
 
 // Run executes prog on machine m and returns the simulated timing. Run is
-// deterministic for fixed (machine, program, options).
+// deterministic for fixed (machine, program, options), failures included:
+// a failed run returns the error of its first failing step, and within a
+// step that of the lowest-numbered failing processor. The errors are
+//   - "bsplib: step N: %w" for a router failure (*faults.DeliveryError,
+//     *sim.DeadlineError, topology.ErrPartitioned);
+//   - "bsplib: processor P: %w" for a program panic, wrapping the panic
+//     value if it is an error and "panic: <value>" otherwise;
+//   - an error naming the step for Sync/Flush disagreement, an MP-BPRAM
+//     violation, or word streams mixed with blocks on a SIMD machine.
 func Run(m *machine.Machine, prog Program, opt Options) (*RunResult, error) {
 	n := m.P()
 	e := &engine{
 		m:          m,
 		n:          n,
 		opt:        opt,
+		slots:      make([]slot, n),
+		release:    make(chan struct{}),
+		running:    make([]int, n),
 		clocks:     make([]sim.Time, n),
 		computeAt:  make([]sim.Time, n),
 		outboxes:   make([][]outMsg, n),
@@ -165,7 +182,6 @@ func Run(m *machine.Machine, prog Program, opt Options) (*RunResult, error) {
 		inDeg:      make([]int, n),
 		rng:        sim.NewRNG(opt.Seed ^ 0x5a17ed),
 	}
-	e.cond = sync.NewCond(&e.mu)
 
 	// Rewind the machine's fault clock (if any) so every run sees the same
 	// fault schedule from simulated time zero; this is what makes a faulty
@@ -174,35 +190,29 @@ func Run(m *machine.Machine, prog Program, opt Options) (*RunResult, error) {
 		ctrl.ResetFaultClock()
 	}
 
-	var wg sync.WaitGroup
-	wg.Add(n)
+	e.arrive.Add(n)
 	for p := 0; p < n; p++ {
-		go func(p int) {
-			defer wg.Done()
-			ctx := &Context{
-				e: e, id: p, rng: e.rng.Split(uint64(0xC0FFEE + p)),
-				// Seed the send-side scratch so typical first supersteps
-				// skip the append-doubling allocations.
-				outbox: make([]outMsg, 0, 16),
-				leased: make([][]byte, 0, 4),
-			}
-			defer func() {
-				if r := recover(); r != nil {
-					e.fail(runPanicError(p, r))
-				}
-				// Computation charged after the final sync still occupies
-				// this processor.
-				e.mu.Lock()
-				e.computeAt[p] += ctx.compute
-				e.mu.Unlock()
-				e.finish()
-			}()
-			prog(ctx)
-		}(p)
+		e.running[p] = p
+		go (&Context{
+			e: e, id: p, rng: e.rng.Split(uint64(0xC0FFEE + p)),
+			// Seed the send-side scratch so typical first supersteps
+			// skip the append-doubling allocations.
+			outbox: make([]outMsg, 0, 16),
+			leased: make([][]byte, 0, 4),
+		}).run(prog)
 	}
-	wg.Wait()
-
+	// One wake-up per step: the last processor to file wakes the engine,
+	// which prices the step and releases every waiter at once.
+	for len(e.running) > 0 && e.err == nil {
+		e.arrive.Wait()
+		e.step()
+		release := e.release
+		e.release = make(chan struct{})
+		e.arrive.Add(len(e.running))
+		close(release)
+	}
 	if e.err != nil {
+		e.arrive.Wait() // the released processors unwind before Run returns
 		return nil, e.err
 	}
 	// Residual compute after the last sync extends the makespan.
@@ -223,89 +233,68 @@ func Run(m *machine.Machine, prog Program, opt Options) (*RunResult, error) {
 	return &e.res, nil
 }
 
-// runPanicError converts a processor-goroutine panic into the run's error.
-// The engine's own aborts pass through unchanged; the structured failures
-// the simulators raise under fault injection - delivery-budget exhaustion,
-// watchdog deadlines, network partitions - keep their typed error values
-// (matchable with errors.As / errors.Is) instead of collapsing into a
-// generic panic message.
-func runPanicError(p int, r any) error {
-	switch v := r.(type) {
-	case abortRun:
-		return v.err
-	case *faults.DeliveryError:
-		return fmt.Errorf("bsplib: processor %d: %w", p, v)
-	case *sim.DeadlineError:
-		return fmt.Errorf("bsplib: processor %d: %w", p, v)
-	case error:
-		if errors.Is(v, topology.ErrPartitioned) {
-			return fmt.Errorf("bsplib: processor %d: %w", p, v)
-		}
-	}
-	return fmt.Errorf("bsplib: processor %d panicked: %v", p, r)
-}
-
-// fail records the first error and wakes everyone.
-func (e *engine) fail(err error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.failLocked(err)
-}
-
-func (e *engine) failLocked(err error) {
-	if e.err == nil {
-		e.err = err
-	}
-	e.cond.Broadcast()
-}
-
-// finish marks one processor's program as returned. If every other live
-// processor is already waiting at a step, the step proceeds without the
-// finished processor (it contributes no messages).
-func (e *engine) finish() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.done++
-	if e.err == nil && e.arrived > 0 && e.arrived+e.done == e.n {
-		e.routeLocked()
-	}
-	e.cond.Broadcast()
-}
-
-// sync is the rendezvous: processor p contributes its outbox and blocks
-// until the step is priced and delivered. The last arriver routes.
-func (e *engine) sync(p int, barrier bool, outbox []outMsg, compute sim.Time) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+// sync files processor p's step and parks p until the engine has priced
+// and delivered it. If the run failed instead, p unwinds with
+// runtime.Goexit, which no program can recover from.
+func (e *engine) sync(p int, s slot) {
+	e.slots[p] = s
+	release := e.release // read before Done: the engine replaces it after Wait
+	e.arrive.Done()
+	<-release
 	if e.err != nil {
-		panic(abortRun{e.err})
-	}
-	if e.arrived == 0 {
-		e.stepBarrier = barrier
-	} else if e.stepBarrier != barrier {
-		e.failLocked(fmt.Errorf("bsplib: processors disagree on step type (barrier vs flush) at step %d", e.stepIdx))
-		panic(abortRun{e.err})
-	}
-	e.outboxes[p] = outbox
-	e.computeAt[p] += compute
-	myGen := e.gen
-	e.arrived++
-	if e.arrived+e.done == e.n {
-		e.routeLocked()
-		e.cond.Broadcast()
-	} else {
-		for e.gen == myGen && e.err == nil {
-			e.cond.Wait()
-		}
-	}
-	if e.err != nil {
-		panic(abortRun{e.err})
+		runtime.Goexit()
 	}
 }
 
-// routeLocked prices and delivers the gathered step. Called with e.mu held.
-func (e *engine) routeLocked() {
-	barrier := e.stepBarrier
+// panicError turns a recovered panic value into an error, keeping error
+// values matchable with errors.As and errors.Is.
+func panicError(r any) error {
+	if err, ok := r.(error); ok {
+		return err
+	}
+	return fmt.Errorf("panic: %v", r)
+}
+
+// step runs once every running processor has filed. It retires the
+// processors whose programs ended, taking the first program panic in
+// processor order as the run's error, then checks, prices and delivers
+// the step the rest synchronized on.
+func (e *engine) step() {
+	running := e.running[:0]
+	barrier := false
+	for _, p := range e.running {
+		s := &e.slots[p]
+		// An ended program files the compute charged after its last sync,
+		// which still occupies its processor.
+		e.computeAt[p] += s.compute
+		if s.exited {
+			if e.err == nil {
+				e.err = s.err
+			}
+			continue
+		}
+		if len(running) == 0 {
+			barrier = s.barrier
+		} else if s.barrier != barrier && e.err == nil {
+			e.err = fmt.Errorf("bsplib: processors disagree on step type (barrier vs flush) at step %d", e.stepIdx)
+		}
+		e.outboxes[p] = s.outbox
+		running = append(running, p)
+	}
+	e.running = running
+	if e.err == nil && len(running) > 0 {
+		e.route(barrier)
+	}
+}
+
+// route prices and delivers the gathered step. A router fails by panicking
+// inside Route (see Run); the panic is recovered here as the run's error.
+func (e *engine) route(barrier bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			e.err = fmt.Errorf("bsplib: step %d: %w", e.stepIdx, panicError(r))
+		}
+	}()
 	e.res.Supersteps++
 	wallBefore := sim.Time(0)
 	for p := 0; p < e.n; p++ {
@@ -344,31 +333,28 @@ func (e *engine) routeLocked() {
 		}
 	}
 
-	if err := e.checkDiscipline(); err != nil {
-		e.failLocked(err)
+	if e.err = e.checkDiscipline(); e.err != nil {
 		return
 	}
 
 	if e.m.SIMD {
-		e.routeSIMDLocked(barrier)
+		e.routeSIMD()
 	} else {
-		e.routeMIMDLocked(barrier)
+		e.routeMIMD(barrier)
 	}
 	if e.err != nil {
 		return
 	}
 	if e.opt.Trace != nil {
-		e.recordTraceLocked(barrier, maxC, wallBefore, commStepsBefore)
+		e.recordTrace(barrier, maxC, wallBefore, commStepsBefore)
 	}
-	e.deliverLocked()
+	e.deliver()
 	e.stepIdx++
-	e.arrived = 0
-	e.gen++
 }
 
-// recordTraceLocked appends this step's timeline record. Called with e.mu
-// held, before delivery clears the outboxes.
-func (e *engine) recordTraceLocked(barrier bool, maxC, wallBefore sim.Time, commStepsBefore int) {
+// recordTrace appends this step's timeline record, before delivery clears
+// the outboxes.
+func (e *engine) recordTrace(barrier bool, maxC, wallBefore sim.Time, commStepsBefore int) {
 	rec := trace.Superstep{
 		Barrier:   barrier,
 		Compute:   maxC,
@@ -428,13 +414,13 @@ func (e *engine) checkDiscipline() error {
 	return nil
 }
 
-// routeMIMDLocked prices the step on an asynchronous machine, expanding
+// routeMIMD prices the step on an asynchronous machine, expanding
 // word streams into individual word messages in send order. The step is
 // built in engine-owned scratch; routers may hold views into it only until
 // their next Route call (they all reset per call).
 //
 //qpvet:hotpath
-func (e *engine) routeMIMDLocked(barrier bool) {
+func (e *engine) routeMIMD(barrier bool) {
 	w := e.m.WordBytes
 	sends := e.sendsBuf
 	for p := range sends {
@@ -491,14 +477,13 @@ func (e *engine) routeMIMDLocked(barrier bool) {
 	e.res.Stats.Add(res.Stats)
 }
 
-// routeSIMDLocked prices the step on a lockstep machine. Clocks are already
-// aligned. Block messages form one synchronous communication step; streams
-// are priced as ceil(bytes/word) one-word steps each costing a full router
-// step (the MP-BSP cost model's (g+L) per word).
+// routeSIMD prices the step on a lockstep machine, where every step is a
+// barrier and clocks are already aligned. Block messages form one
+// synchronous communication step; streams are priced as ceil(bytes/word)
+// one-word steps each costing a full router step (MP-BSP's (g+L) per word).
 //
 //qpvet:hotpath
-func (e *engine) routeSIMDLocked(barrier bool) {
-	_ = barrier // every SIMD step is aligned; barrier is implicit
+func (e *engine) routeSIMD() {
 	hasStream, hasBlock := false, false
 	for p := 0; p < e.n; p++ {
 		for _, m := range e.outboxes[p] {
@@ -511,7 +496,7 @@ func (e *engine) routeSIMDLocked(barrier bool) {
 	}
 	if hasStream && hasBlock {
 		//qpvet:ignore hotalloc -- cold failure path: the step is already invalid when this formats
-		e.failLocked(fmt.Errorf("bsplib: step %d mixes word streams and block messages on a SIMD machine", e.stepIdx))
+		e.err = fmt.Errorf("bsplib: step %d mixes word streams and block messages on a SIMD machine", e.stepIdx)
 		return
 	}
 
@@ -575,7 +560,7 @@ func (e *engine) priceStreams() sim.Time {
 		for _, m := range e.outboxes[p] {
 			words := (len(m.payload) + w - 1) / w
 			runs[p] = append(runs[p], streamRun{dst: m.dst, start: pos, end: pos + words}) //qpvet:ignore hotalloc -- amortized scratch growth, backing reused across supersteps
-			boundaries = append(boundaries, pos, pos+words)                               //qpvet:ignore hotalloc -- amortized scratch growth, backing reused across supersteps
+			boundaries = append(boundaries, pos, pos+words)                                //qpvet:ignore hotalloc -- amortized scratch growth, backing reused across supersteps
 			pos += words
 		}
 		if pos > maxWords {
@@ -655,7 +640,7 @@ func (e *engine) priceStep(step *comm.Step, repeat int) sim.Time {
 	return res.Elapsed * sim.Time(repeat)
 }
 
-// deliverLocked moves payloads to the destination inboxes in deterministic
+// deliver moves payloads to the destination inboxes in deterministic
 // order (by source, then send order), replacing the previous step's
 // deliveries.
 //
@@ -667,7 +652,7 @@ func (e *engine) priceStep(step *comm.Step, repeat int) sim.Time {
 // verbatim, so its bytes must stay intact until they have been copied out.
 //
 //qpvet:hotpath
-func (e *engine) deliverLocked() {
+func (e *engine) deliver() {
 	for p := 0; p < e.n; p++ {
 		e.inboxes[p] = e.inboxes[p][:0]
 	}

@@ -1,12 +1,16 @@
 package bsplib
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"quantpar/internal/comm"
+	"quantpar/internal/faults"
 	"quantpar/internal/machine"
+	_ "quantpar/internal/machine/backends"
 	"quantpar/internal/phase"
 	"quantpar/internal/sim"
 	"quantpar/internal/trace"
@@ -327,6 +331,63 @@ func TestProgramPanicBecomesError(t *testing.T) {
 	}, Options{Seed: 1})
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("panic not surfaced: %v", err)
+	}
+}
+
+// TestLowestPanickingProcessorWins panics two processors in the same
+// superstep: the run's error must name the lower-numbered one every time,
+// whichever goroutine happens to get there first.
+func TestLowestPanickingProcessorWins(t *testing.T) {
+	r := &fakeRouter{procs: 64, base: 1, msgCost: 1}
+	m := fakeMachine(64, false, r)
+	for i := 0; i < 50; i++ {
+		_, err := Run(m, func(ctx *Context) {
+			ctx.Sync()
+			if id := ctx.ID(); id == 7 || id == 40 {
+				panic(fmt.Sprintf("PE %d", id))
+			}
+			ctx.Sync()
+		}, Options{Seed: 1})
+		if want := "bsplib: processor 7: panic: PE 7"; err == nil || err.Error() != want {
+			t.Fatalf("run %d: error %v, want %q", i, err, want)
+		}
+	}
+}
+
+// TestFailingRunErrorIsDeterministic repeats one seeded failing program: on
+// a CM-5 whose PE 2 crashed at time zero, every PE sends to its right
+// neighbour, so the first superstep exhausts a delivery budget. Every run
+// must fail with the same structured error text.
+func TestFailingRunErrorIsDeterministic(t *testing.T) {
+	m, err := machine.Build("cm5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := faults.NewPlan(faults.Spec{
+		Seed:     7,
+		DropRate: 0.05,
+		Crashes:  []faults.Crash{{Proc: 2, At: 0}},
+		Protocol: faults.Protocol{MaxRetries: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := machine.InjectFaults(m, plan); err != nil {
+		t.Fatal(err)
+	}
+	texts := map[string]int{}
+	for i := 0; i < 30; i++ {
+		_, err := Run(m, func(ctx *Context) {
+			ctx.Send((ctx.ID()+1)%ctx.P(), 1, []byte("ping"))
+			ctx.Sync()
+		}, Options{Seed: 1})
+		if !errors.As(err, new(*faults.DeliveryError)) || !strings.HasPrefix(err.Error(), "bsplib: step 0: ") {
+			t.Fatalf("run %d: error %v, want step 0's *faults.DeliveryError", i, err)
+		}
+		texts[err.Error()]++
+	}
+	if len(texts) != 1 {
+		t.Fatalf("30 runs of one program gave %d error texts: %v", len(texts), texts)
 	}
 }
 

@@ -122,12 +122,26 @@ func (c *Context) Flush() {
 	c.step(c.e.m.SIMD)
 }
 
+// run executes prog as this processor and files the program's end: the
+// compute charged after its last synchronization and the panic that ended
+// it, if any. A processor unwound by a failed run passes through here too.
+func (c *Context) run(prog Program) {
+	defer func() {
+		s := slot{compute: c.compute, exited: true}
+		if r := recover(); r != nil {
+			s.err = fmt.Errorf("bsplib: processor %d: %w", c.id, panicError(r))
+		}
+		c.e.slots[c.id] = s
+		c.e.arrive.Done()
+	}()
+	prog(c)
+}
+
 func (c *Context) step(barrier bool) {
 	out := c.outbox
 	c.outbox = nil
-	comp := c.compute
+	c.e.sync(c.id, slot{outbox: out, compute: c.compute, barrier: barrier})
 	c.compute = 0
-	c.e.sync(c.id, barrier, out, comp)
 	// The engine copied every payload into its own delivery buffers before
 	// sync returned, so the outbox backing and all leased payload buffers
 	// are this processor's again: clear the payload references and recycle

@@ -45,8 +45,8 @@ func (s Superstep) Comm() sim.Time {
 }
 
 // Recorder accumulates superstep records. It is safe for use by the engine
-// (which records while holding its own lock) and by concurrent readers
-// after the run completes.
+// (which records from the goroutine running bsplib.Run) and by concurrent
+// readers after the run completes.
 type Recorder struct {
 	mu    sync.Mutex
 	steps []Superstep
