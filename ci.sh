@@ -2,16 +2,16 @@
 # ci.sh — the tier-1 gate. Every PR must pass this script unchanged:
 #
 #   1. the module builds;
-#   2. go vet finds nothing;
+#   2. go vet finds nothing, and gofmt -l lists none of the tracked Go
+#      files;
 #   3. the full test suite passes under the race detector with shuffled
 #      test order (-shuffle=on), so no test depends on a sibling running
 #      first, and the superstep engine's tests pass ten more times under
 #      it, so a rare interleaving of its processor goroutines gets caught;
 #   4. qpvet (internal/analysis) reports no determinism, buffer-lease,
-#      hot-path allocation, sim.Time, RNG-stream, fault-RNG, or
-#      artifact-encoding violations anywhere in the module beyond the
-#      committed QPVET_baseline.json (kept empty in steady state), and no
-#      //qpvet:ignore directive has gone stale (-suppaudit);
+#      sim.Time, RNG-stream, fault-RNG, or artifact-encoding violations
+#      anywhere in the module, and no //qpvet:ignore directive has gone
+#      stale;
 #   5. the fault-injection contract holds: every registered backend
 #      converges under the fixed conformance fault schedule with
 #      byte-identical twin runs and structured errors for partitions,
@@ -25,7 +25,9 @@
 #      committed baseline, BENCH_memo.json: an allocs/op increase beyond
 #      10% fails CI, as does any sim-events/op increase (the event counts
 #      are deterministic, so the tolerance is zero); ns/op and B/op drift
-#      is advisory only.
+#      is advisory only;
+#   8. the nested perfbench module (the benchmark BENCHMARK.json declares)
+#      still vets and passes its short tests against this module's APIs.
 #
 # Each stage prints its wall-clock seconds so slow gates are visible in CI
 # logs without extra tooling.
@@ -42,8 +44,7 @@
 #   go run ./cmd/qpbench -o BENCH_memo.json
 #
 # If a qpvet finding is intentional, suppress it in place with
-# `//qpvet:ignore <check> -- reason`; the baseline file is a last resort
-# for accepting a finding class wholesale and should normally stay empty.
+# `//qpvet:ignore <check> -- reason`.
 set -eu
 
 ci_t0=$(date +%s)
@@ -62,8 +63,16 @@ stage() {
 stage "go build ./..."
 go build ./...
 
-stage "go vet ./..."
+stage "go vet ./... and gofmt -l"
 go vet ./...
+# Only tracked files: .bench_build/ holds a GOPATH full of foreign sources.
+go_files=$(git ls-files '*.go')
+unformatted=$(gofmt -l $go_files)
+if [ -n "$unformatted" ]; then
+    printf '%s\n' "$unformatted"
+    echo "ci: gofmt -l lists the files above; format them with gofmt -w"
+    exit 1
+fi
 
 stage "go test -race -shuffle=on ./..."
 # The experiments package replays every experiment several times over
@@ -73,8 +82,8 @@ stage "go test -race -shuffle=on ./..."
 go test -race -shuffle=on -timeout 1800s ./...
 go test -race -count=10 ./internal/bsplib/
 
-stage "qpvet -suppaudit -baseline QPVET_baseline.json ./..."
-go run ./cmd/qpvet -suppaudit -baseline QPVET_baseline.json ./...
+stage "qpvet ./..."
+go run ./cmd/qpvet ./...
 
 stage "fault-injection conformance gate"
 go test -run 'TestFaultProtocolConformance|TestFaultPartitionIsStructured' ./internal/netsim/
@@ -94,6 +103,10 @@ go run ./cmd/qpbench -quick -diff BENCH_memo.json || {
     echo "ci: allocs/op or sim-events/op regressed against the committed benchmark baseline"
     exit 1
 }
+
+stage "perfbench vet and short tests"
+go -C perfbench vet ./...
+go -C perfbench test -short ./...
 
 stage "done"
 echo "ci: all gates passed in $(($(date +%s) - ci_t0))s"

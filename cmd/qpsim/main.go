@@ -26,7 +26,7 @@ func main() {
 	algo := flag.String("algo", "matmul", "algorithm: matmul, bitonic, samplesort, apsp")
 	n := flag.Int("n", 256, "problem dimension (matmul/apsp)")
 	keys := flag.Int("keys", 1024, "keys per processor (sorting)")
-	variant := flag.String("variant", "", "algorithm variant (see -help of each algo)")
+	variant := flag.String("variant", "", "algorithm variant: matmul staggered|unstaggered|bpram, bitonic word|block|bpram, samplesort padded|staggered")
 	q := flag.Int("q", 0, "matmul cube side (default: machine-dependent)")
 	seed := flag.Uint64("seed", 42, "RNG seed")
 	verify := flag.Bool("verify", true, "verify against a sequential reference")
@@ -92,8 +92,12 @@ func run(machineName, algo string, n, keys int, variant string, q int, seed uint
 		fmt.Printf(" (supersteps %d, comm steps %d)\n", res.Run.Supersteps, res.Run.CommSteps)
 	case "bitonic":
 		v := quantpar.BitonicWord
-		if variant == "block" || variant == "bpram" {
+		switch variant {
+		case "", "word":
+		case "block", "bpram":
 			v = quantpar.BitonicBlock
+		default:
+			return fmt.Errorf("bitonic variant %q (want word, block, bpram)", variant)
 		}
 		res, err := quantpar.RunBitonic(m, quantpar.BitonicConfig{KeysPerProc: keys, Variant: v, Seed: seed, Verify: verify, Trace: rec})
 		if err != nil {
@@ -106,8 +110,12 @@ func run(machineName, algo string, n, keys int, variant string, q int, seed uint
 		fmt.Println()
 	case "samplesort":
 		v := quantpar.SampleSortPadded
-		if variant == "staggered" {
+		switch variant {
+		case "", "padded":
+		case "staggered":
 			v = quantpar.SampleSortStaggered
+		default:
+			return fmt.Errorf("samplesort variant %q (want padded, staggered)", variant)
 		}
 		res, err := quantpar.RunSampleSort(m, quantpar.SampleSortConfig{
 			KeysPerProc: keys, Oversample: 32, Variant: v, Seed: seed, Verify: verify, Trace: rec})
@@ -121,6 +129,9 @@ func run(machineName, algo string, n, keys int, variant string, q int, seed uint
 		}
 		fmt.Println()
 	case "apsp":
+		if variant != "" {
+			return fmt.Errorf("apsp variant %q (apsp has no variants)", variant)
+		}
 		res, err := quantpar.RunAPSP(m, quantpar.APSPConfig{N: n, Seed: seed, Verify: verify, Trace: rec})
 		if err != nil {
 			return err

@@ -1,21 +1,17 @@
-// Command qpvet runs the repository's determinism and concurrency
-// static-analysis suite (internal/analysis) over module packages.
+// Command qpvet runs the repository's determinism static-analysis suite
+// (internal/analysis) over module packages.
 //
 // Usage:
 //
-//	qpvet ./...                        # analyze the whole module
-//	qpvet ./internal/...               # analyze a subtree
-//	qpvet -checks simtime ./...        # run a subset of checks
-//	qpvet -json ./...                  # machine-readable diagnostics
-//	qpvet -list                        # list available checks
-//	qpvet -suppaudit ./...             # also fail on stale //qpvet:ignore
-//	qpvet -baseline f.json ./...       # fail only on findings not in f.json
-//	qpvet -write-baseline f.json ./... # record current findings into f.json
+//	qpvet ./...           # analyze the whole module
+//	qpvet ./internal/...  # analyze a subtree
+//	qpvet -list           # list the checks
 //
-// qpvet exits 0 when no (new) diagnostics are reported, 1 when findings or
-// stale suppressions exist, and 2 on usage or load errors. Intentional
-// findings are suppressed in place with `//qpvet:ignore <check> -- reason`
-// or accepted wholesale by recording them into a baseline file; see
+// qpvet runs every check and prints each finding, then each
+// //qpvet:ignore directive that suppresses nothing, in file:line:col form.
+// It exits 0 when it prints nothing, 1 when it prints findings or stale
+// directives, and 2 on usage or load errors. An intentional finding is
+// suppressed in place with `//qpvet:ignore <check> -- reason`; see
 // internal/analysis.
 package main
 
@@ -23,18 +19,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"quantpar/internal/analysis"
 )
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit diagnostics as JSON")
-	checks := flag.String("checks", "", "comma-separated subset of checks to run (default: all)")
-	list := flag.Bool("list", false, "list available checks and exit")
-	suppaudit := flag.Bool("suppaudit", false, "report //qpvet:ignore directives that suppress nothing (exit 1 if any)")
-	baselinePath := flag.String("baseline", "", "baseline file of accepted findings; fail only on new ones")
-	writeBaseline := flag.String("write-baseline", "", "record current findings into this baseline file and exit 0")
+	list := flag.Bool("list", false, "list the checks and exit")
 	flag.Parse()
 
 	if *list {
@@ -42,24 +32,6 @@ func main() {
 			fmt.Printf("%-16s %s\n", a.Name, a.Doc)
 		}
 		return
-	}
-
-	analyzers := analysis.Analyzers()
-	if *checks != "" {
-		seen := make(map[string]bool)
-		analyzers = analyzers[:0]
-		for _, name := range strings.Split(*checks, ",") {
-			a, err := analysis.ByName(strings.TrimSpace(name))
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "qpvet:", err)
-				os.Exit(2)
-			}
-			if seen[a.Name] {
-				continue
-			}
-			seen[a.Name] = true
-			analyzers = append(analyzers, a)
-		}
 	}
 
 	patterns := flag.Args()
@@ -76,58 +48,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "qpvet:", err)
 		os.Exit(2)
 	}
-	diags, stale := w.RunWithAudit(analyzers)
-	if !*suppaudit {
-		stale = nil
-	}
-
-	// Baseline entries are module-root-relative so recording and gating can
-	// run from different directories.
-	if *writeBaseline != "" {
-		b := analysis.NewBaseline(diags, w.ModuleRoot)
-		if err := analysis.WriteBaselineFile(*writeBaseline, b); err != nil {
-			fmt.Fprintln(os.Stderr, "qpvet:", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "qpvet: recorded %d finding(s) into %s\n", len(diags), *writeBaseline)
-		return
-	}
-	if *baselinePath != "" {
-		b, err := analysis.ReadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "qpvet:", err)
-			os.Exit(2)
-		}
-		var covered int
-		diags, covered = b.Filter(diags, w.ModuleRoot)
-		if covered > 0 {
-			fmt.Fprintf(os.Stderr, "qpvet: %d finding(s) covered by baseline %s\n", covered, *baselinePath)
-		}
-	}
-
-	if *jsonOut {
-		if err := analysis.WriteJSONReport(os.Stdout, diags, stale, cwd); err != nil {
-			fmt.Fprintln(os.Stderr, "qpvet:", err)
-			os.Exit(2)
-		}
-	} else {
-		analysis.WriteText(os.Stdout, diags, cwd)
-		for _, s := range stale {
-			fmt.Println(staleRelative(s, cwd))
-		}
-	}
+	diags, stale := w.RunWithAudit()
+	analysis.WriteText(os.Stdout, diags, stale, cwd)
 	if len(diags) > 0 || len(stale) > 0 {
 		os.Exit(1)
 	}
-}
-
-// staleRelative renders a stale suppression with a cwd-relative path,
-// matching the diagnostic text format.
-func staleRelative(s analysis.StaleSuppression, root string) string {
-	file := s.Pos.Filename
-	if rel, ok := strings.CutPrefix(file, root+"/"); ok {
-		file = rel
-	}
-	return fmt.Sprintf("%s:%d:%d: stale //qpvet:ignore %s: directive suppresses no diagnostic; delete it (or fix the check name)",
-		file, s.Pos.Line, s.Pos.Column, strings.Join(s.Checks, ","))
 }

@@ -316,14 +316,14 @@ type bcastScratch struct {
 // payload buffer leased from ctx (valid until the next Sync/Flush).
 func (sc *bcastScratch) encode(ctx *bsplib.Context, m *machine.Machine, xs []float64) []byte {
 	if m.WordBytes == 8 {
-		return wire.AppendFloat64s(ctx.PayloadBuf(8*len(xs))[:0], xs)
+		return wire.AppendFloat64s(ctx.PayloadBuf(8 * len(xs))[:0], xs)
 	}
 	f := sc.f32[:0]
 	for _, v := range xs {
 		f = append(f, float32(v))
 	}
 	sc.f32 = f
-	return wire.AppendFloat32s(ctx.PayloadBuf(4*len(xs))[:0], f)
+	return wire.AppendFloat32s(ctx.PayloadBuf(4 * len(xs))[:0], f)
 }
 
 // decode converts a received payload back to float64s. The result is scratch,

@@ -374,7 +374,7 @@ func (ws *workspace) init(ly layout) {
 	ws.backing = make([]float64, 3*slab+3*full)
 	d := ws.backing
 	carve := func(rows, cols int) linalg.Mat {
-		m := linalg.Mat{Rows: rows, Cols: cols, Data: d[:rows*cols:rows*cols]}
+		m := linalg.Mat{Rows: rows, Cols: cols, Data: d[: rows*cols : rows*cols]}
 		d = d[rows*cols:]
 		return m
 	}
@@ -402,7 +402,7 @@ type encScratch struct {
 // 4-byte-word machines, float64 on 8-byte ones), writing into a buffer
 // leased from ctx (valid until the processor's next synchronization).
 func (s *encScratch) encode(ctx *bsplib.Context, m *machine.Machine, xs []float64) []byte {
-	return s.appendEnc(m, ctx.PayloadBuf(m.WordBytes*len(xs))[:0], xs)
+	return s.appendEnc(m, ctx.PayloadBuf(m.WordBytes * len(xs))[:0], xs)
 }
 
 // appendEnc appends the wire encoding of xs to dst, allowing several slabs

@@ -199,7 +199,7 @@ func sortOne(ctx *bsplib.Context, cfg Config, sq int, keys []uint32) []uint32 {
 // the next synchronization) and queues it - the zero-copy replacement for
 // the old Send(wire.PutUint32s(...)) pattern.
 func sendU32(ctx *bsplib.Context, dst, tag int, xs []uint32) {
-	ctx.Send(dst, tag, wire.AppendUint32s(ctx.PayloadBuf(4*len(xs))[:0], xs))
+	ctx.Send(dst, tag, wire.AppendUint32s(ctx.PayloadBuf(4 * len(xs))[:0], xs))
 }
 
 // allGatherWord gathers one word from every processor using a row ring

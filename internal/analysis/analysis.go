@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -60,33 +59,25 @@ func (d Diagnostic) String() string {
 
 // Analyzers returns the full suite in a stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{ArtifactEnc, BufLease, Determinism, FaultRNG, HotAlloc, SimTime, RNGStream}
-}
-
-// ByName returns the named analyzer from the suite.
-func ByName(name string) (*Analyzer, error) {
-	for _, a := range Analyzers() {
-		if a.Name == name {
-			return a, nil
-		}
-	}
-	return nil, fmt.Errorf("analysis: unknown check %q", name)
+	return []*Analyzer{ArtifactEnc, BufLease, Determinism, FaultRNG, SimTime, RNGStream}
 }
 
 // Run applies the analyzers to every target package of the world and
 // returns the surviving diagnostics sorted by position.
 func (w *World) Run(analyzers []*Analyzer) []Diagnostic {
-	diags, _ := w.RunWithAudit(analyzers)
+	diags, _ := w.run(analyzers)
 	return diags
 }
 
-// RunWithAudit runs the analyzers and additionally audits every
-// //qpvet:ignore directive in the target packages: directives that
-// suppressed nothing are returned as stale. A directive only counts as
-// auditable when this run could have exercised it - all of its named checks
-// ran, or, for wildcard directives, the full suite ran - so running a
-// subset with -checks never produces false staleness.
-func (w *World) RunWithAudit(analyzers []*Analyzer) ([]Diagnostic, []StaleSuppression) {
+// RunWithAudit runs the full suite, as qpvet does, and also audits every
+// //qpvet:ignore directive in the target packages: a directive that
+// suppressed nothing is returned as stale. So is one naming an unknown
+// check, which is a typo.
+func (w *World) RunWithAudit() ([]Diagnostic, []StaleSuppression) {
+	return w.run(Analyzers())
+}
+
+func (w *World) run(analyzers []*Analyzer) ([]Diagnostic, []StaleSuppression) {
 	var diags []Diagnostic
 	var sups []*suppressions
 	for _, pkg := range w.Targets {
@@ -117,23 +108,12 @@ func (w *World) RunWithAudit(analyzers []*Analyzer) ([]Diagnostic, []StaleSuppre
 		return diags[i].Check < diags[j].Check
 	})
 
-	ran := make(map[string]bool, len(analyzers))
-	for _, a := range analyzers {
-		ran[a.Name] = true
-	}
-	fullSuite := true
-	for _, a := range Analyzers() {
-		if !ran[a.Name] {
-			fullSuite = false
-		}
-	}
 	var stale []StaleSuppression
 	for _, sup := range sups {
 		for _, d := range sup.all {
-			if d.used || !auditable(d, ran, fullSuite) {
-				continue
+			if !d.used {
+				stale = append(stale, StaleSuppression{Pos: d.pos, Checks: d.checks})
 			}
-			stale = append(stale, StaleSuppression{Pos: d.pos, Checks: d.checks})
 		}
 	}
 	sort.Slice(stale, func(i, j int) bool {
@@ -146,35 +126,6 @@ func (w *World) RunWithAudit(analyzers []*Analyzer) ([]Diagnostic, []StaleSuppre
 	return diags, stale
 }
 
-// auditable reports whether this run could have used the directive. With
-// the full suite running every directive is fair game (including ones
-// naming unknown checks: those are typos and should surface as stale);
-// with a -checks subset, only directives whose named checks all ran.
-func auditable(d *directive, ran map[string]bool, fullSuite bool) bool {
-	if fullSuite {
-		return true
-	}
-	if d.wildcard() {
-		return false
-	}
-	for _, c := range d.checks {
-		if !ran[c] {
-			return false
-		}
-	}
-	return true
-}
-
-// Check is the one-call entry point used by cmd/qpvet: load the module
-// packages matched by patterns (relative to dir) and run the analyzers.
-func Check(dir string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, error) {
-	w, err := Load(dir, patterns)
-	if err != nil {
-		return nil, err
-	}
-	return w.Run(analyzers), nil
-}
-
 // --- suppression directives ---
 
 // directive is one //qpvet:ignore comment: where it sits, which checks it
@@ -184,10 +135,6 @@ type directive struct {
 	pos    token.Position
 	checks []string
 	used   bool
-}
-
-func (d *directive) wildcard() bool {
-	return len(d.checks) == 1 && d.checks[0] == "*"
 }
 
 func (d *directive) names(check string) bool {
@@ -266,8 +213,8 @@ func collectSuppressions(fset *token.FileSet, files []*ast.File) *suppressions {
 }
 
 // StaleSuppression is a //qpvet:ignore directive that suppressed no
-// diagnostic in a run that exercised its checks: either the code it excused
-// was fixed (delete the directive) or the check name is misspelled.
+// diagnostic: either the code it excused was fixed (delete the directive)
+// or the check name is misspelled.
 type StaleSuppression struct {
 	Pos    token.Position
 	Checks []string
@@ -278,76 +225,20 @@ func (s StaleSuppression) String() string {
 		s.Pos.Filename, s.Pos.Line, s.Pos.Column, strings.Join(s.Checks, ","))
 }
 
-// --- output encodings ---
-
-// DiagnosticJSON is the wire form of one diagnostic, stable for CI tooling.
-type DiagnosticJSON struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Col     int    `json:"col"`
-	Check   string `json:"check"`
-	Message string `json:"message"`
-}
-
-// StaleSuppressionJSON is the wire form of one stale directive.
-type StaleSuppressionJSON struct {
-	File   string   `json:"file"`
-	Line   int      `json:"line"`
-	Col    int      `json:"col"`
-	Checks []string `json:"checks"`
-}
-
-// jsonReport is the top-level -json document. The field set is locked by a
-// golden test (TestJSONSchemaGolden): downstream tooling parses this.
-type jsonReport struct {
-	Diagnostics       []DiagnosticJSON       `json:"diagnostics"`
-	StaleSuppressions []StaleSuppressionJSON `json:"stale_suppressions,omitempty"`
-}
-
-// WriteJSON encodes diagnostics as a single JSON document. File paths are
-// rewritten relative to root when possible (pass "" to keep them verbatim).
-func WriteJSON(w io.Writer, diags []Diagnostic, root string) error {
-	return WriteJSONReport(w, diags, nil, root)
-}
-
-// WriteJSONReport is WriteJSON plus the -suppaudit section: stale
-// suppressions are included when present and omitted entirely otherwise, so
-// consumers of the pre-audit schema keep working byte for byte.
-func WriteJSONReport(w io.Writer, diags []Diagnostic, stale []StaleSuppression, root string) error {
-	report := jsonReport{Diagnostics: make([]DiagnosticJSON, 0, len(diags))}
+// WriteText prints the findings, then the stale directives, one per line in
+// file:line:col form with paths relative to root.
+func WriteText(w io.Writer, diags []Diagnostic, stale []StaleSuppression, root string) {
 	for _, d := range diags {
-		report.Diagnostics = append(report.Diagnostics, DiagnosticJSON{
-			File:    relativeTo(root, d.Pos.Filename),
-			Line:    d.Pos.Line,
-			Col:     d.Pos.Column,
-			Check:   d.Check,
-			Message: d.Message,
-		})
+		d.Pos.Filename = relativeTo(root, d.Pos.Filename)
+		fmt.Fprintln(w, d)
 	}
 	for _, s := range stale {
-		report.StaleSuppressions = append(report.StaleSuppressions, StaleSuppressionJSON{
-			File:   relativeTo(root, s.Pos.Filename),
-			Line:   s.Pos.Line,
-			Col:    s.Pos.Column,
-			Checks: s.Checks,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(report)
-}
-
-// WriteText prints diagnostics one per line in file:line:col form.
-func WriteText(w io.Writer, diags []Diagnostic, root string) {
-	for _, d := range diags {
-		fmt.Fprintf(w, "%s:%d:%d: %s: %s\n", relativeTo(root, d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Check, d.Message)
+		s.Pos.Filename = relativeTo(root, s.Pos.Filename)
+		fmt.Fprintln(w, s)
 	}
 }
 
 func relativeTo(root, filename string) string {
-	if root == "" {
-		return filename
-	}
 	if rel, ok := strings.CutPrefix(filename, root+"/"); ok {
 		return rel
 	}

@@ -1,8 +1,7 @@
 package analysis
 
 import (
-	"bytes"
-	"encoding/json"
+	"go/token"
 	"regexp"
 	"strings"
 	"testing"
@@ -133,50 +132,18 @@ func TestSuppressionDirective(t *testing.T) {
 	}
 }
 
-// TestWriteJSON covers the -json encoding: field names, ordering, relative
-// paths, and the empty-diagnostics shape CI consumers rely on.
-func TestWriteJSON(t *testing.T) {
-	w, _ := loadFixture(t, "determinism")
-	diags := w.Run([]*Analyzer{Determinism})
-	if len(diags) == 0 {
-		t.Fatal("determinism fixture produced no diagnostics")
-	}
-
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, diags, w.ModuleRoot); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	var report struct {
-		Diagnostics []DiagnosticJSON `json:"diagnostics"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &report); err != nil {
-		t.Fatalf("decoding WriteJSON output: %v\n%s", err, buf.String())
-	}
-	if len(report.Diagnostics) != len(diags) {
-		t.Fatalf("encoded %d diagnostics, want %d", len(report.Diagnostics), len(diags))
-	}
-	for i, d := range report.Diagnostics {
-		if d.File == "" || strings.HasPrefix(d.File, "/") {
-			t.Errorf("diagnostic %d: file %q not relative to module root", i, d.File)
-		}
-		if d.Line <= 0 || d.Col <= 0 {
-			t.Errorf("diagnostic %d: bad position %d:%d", i, d.Line, d.Col)
-		}
-		if d.Check != "determinism" {
-			t.Errorf("diagnostic %d: check %q, want determinism", i, d.Check)
-		}
-		if d.Message == "" {
-			t.Errorf("diagnostic %d: empty message", i)
-		}
-	}
-
-	// No findings must still encode as an empty array, not null.
-	buf.Reset()
-	if err := WriteJSON(&buf, nil, ""); err != nil {
-		t.Fatalf("WriteJSON(empty): %v", err)
-	}
-	if !strings.Contains(buf.String(), `"diagnostics": []`) {
-		t.Errorf("empty report does not encode diagnostics as []:\n%s", buf.String())
+// TestWriteText pins qpvet's output: findings, then stale directives, one
+// per line in file:line:col form, with paths relative to the root.
+func TestWriteText(t *testing.T) {
+	var buf strings.Builder
+	WriteText(&buf,
+		[]Diagnostic{{Pos: token.Position{Filename: "/mod/internal/sim/a.go", Line: 3, Column: 2}, Check: "simtime", Message: "exact comparison"}},
+		[]StaleSuppression{{Pos: token.Position{Filename: "/mod/internal/sim/b.go", Line: 7, Column: 11}, Checks: []string{"determinism"}}},
+		"/mod")
+	want := "internal/sim/a.go:3:2: simtime: exact comparison\n" +
+		"internal/sim/b.go:7:11: stale //qpvet:ignore determinism: directive suppresses no diagnostic; delete it (or fix the check name)\n"
+	if got := buf.String(); got != want {
+		t.Errorf("WriteText printed\n%s\nwant\n%s", got, want)
 	}
 }
 
@@ -188,7 +155,7 @@ func TestRepoIsClean(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading module: %v", err)
 	}
-	diags, stale := w.RunWithAudit(Analyzers())
+	diags, stale := w.RunWithAudit()
 	for _, d := range diags {
 		t.Errorf("%s", d)
 	}
@@ -260,18 +227,5 @@ func TestPatternExpansion(t *testing.T) {
 	}
 	if !foundFlow {
 		t.Error("tree walk missed the analysis/flow subpackage")
-	}
-}
-
-// TestByName covers the driver's -checks plumbing.
-func TestByName(t *testing.T) {
-	for _, a := range Analyzers() {
-		got, err := ByName(a.Name)
-		if err != nil || got != a {
-			t.Errorf("ByName(%q) = %v, %v", a.Name, got, err)
-		}
-	}
-	if _, err := ByName("nosuchcheck"); err == nil {
-		t.Error("ByName(nosuchcheck) succeeded, want error")
 	}
 }

@@ -37,12 +37,6 @@
 //     pointer/channel/function fields are flagged at vet time, before a
 //     schema change breaks artifact byte-determinism.
 //
-//   - hotalloc: inside functions marked //qpvet:hotpath (the per-message
-//     paths of the zero-copy pipeline, DESIGN.md §10), flags every
-//     allocation the compiler cannot elide: make/append/new, string
-//     concatenation, string<->[]byte conversions, and variadic ...any
-//     calls that box their arguments.
-//
 //   - buflease: the flow-sensitive buffer-ownership check. Built on the
 //     intra-procedural CFG and forward-dataflow engine in the flow
 //     subpackage, it tracks sim.BufferPool leases, bsplib PayloadBuf
@@ -65,18 +59,14 @@
 //
 // A bare //qpvet:ignore suppresses every check on that line. Suppressions
 // are deliberately line-scoped: broad opt-outs would erode the invariants
-// the suite exists to protect. They are also audited: RunWithAudit (the
-// -suppaudit flag) reports every directive that suppressed nothing, so
+// the suite exists to protect. They are also audited: a directive that
+// suppresses nothing, or names an unknown check, is reported as stale, so
 // opt-outs whose finding has since been fixed cannot linger.
 //
 // # Driver
 //
-// cmd/qpvet loads the module, runs the suite, and prints findings in
-// file:line:col form (or as JSON with -json; stale suppressions appear
-// under "stale_suppressions", omitted when empty). A committed baseline
-// (-baseline / -write-baseline, see baseline.go) subtracts accepted
-// finding classes — keyed by file, check, and message, never line — so
-// only new findings gate. `go run ./cmd/qpvet -suppaudit -baseline
-// QPVET_baseline.json ./...` is part of the tier-1 gate (ci.sh) and must
-// exit 0.
+// cmd/qpvet loads the module, runs the whole suite with the audit, and
+// prints findings and stale directives in file:line:col form.
+// `go run ./cmd/qpvet ./...` is part of the tier-1 gate (ci.sh) and must
+// exit 0; TestRepoIsClean runs the same check in-tree.
 package analysis

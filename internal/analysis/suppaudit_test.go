@@ -28,7 +28,7 @@ func stalePositions(t *testing.T, w *World, pkg *Package) map[int]bool {
 // STALE-marked directives (one named, one wildcard) must be reported.
 func TestSuppAudit(t *testing.T) {
 	w, pkg := loadFixture(t, "suppaudit")
-	diags, stale := w.RunWithAudit(Analyzers())
+	diags, stale := w.RunWithAudit()
 	for _, d := range diags {
 		t.Errorf("unexpected diagnostic (live suppression failed?): %s", d)
 	}
@@ -49,29 +49,6 @@ func TestSuppAudit(t *testing.T) {
 		if !want[line] {
 			t.Errorf("directive at line %d reported stale, but fixture expects it live", line)
 		}
-	}
-}
-
-// TestSuppAuditSubsetSafety guards against false staleness under -checks: a
-// named directive is audited only when its check ran, and wildcard
-// directives only under the full suite.
-func TestSuppAuditSubsetSafety(t *testing.T) {
-	w, _ := loadFixture(t, "suppaudit")
-
-	// Only hotalloc runs: the stale hotalloc directive surfaces, the stale
-	// wildcard must not (no other check ran, so it cannot be judged).
-	_, stale := w.RunWithAudit([]*Analyzer{HotAlloc})
-	if len(stale) != 1 {
-		t.Fatalf("hotalloc-only audit found %d stale directives, want 1 (the named one): %v", len(stale), stale)
-	}
-	if stale[0].Checks[0] != "hotalloc" {
-		t.Errorf("hotalloc-only audit flagged %v, want the named hotalloc directive", stale[0].Checks)
-	}
-
-	// A subset that cannot exercise hotalloc directives must audit nothing.
-	_, stale = w.RunWithAudit([]*Analyzer{Determinism})
-	if len(stale) != 0 {
-		t.Errorf("determinism-only audit flagged %v, want none (its checks never ran)", stale)
 	}
 }
 
@@ -107,7 +84,7 @@ func TestLegacySuppressionsStillLive(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading packages: %v", err)
 	}
-	_, stale := w.RunWithAudit(Analyzers())
+	_, stale := w.RunWithAudit()
 	for _, s := range stale {
 		t.Errorf("legacy suppression went stale: %s", s)
 	}

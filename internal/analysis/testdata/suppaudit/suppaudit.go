@@ -4,26 +4,24 @@
 // left behind by a refactor. The audit must flag exactly the latter two.
 package suppaudit
 
-type ring struct {
-	buf []byte
+import "time"
+
+type stamp struct {
+	at time.Time
 }
 
-// grow is hot: the append fires hotalloc and the trailing directive
-// legitimately silences it - the audit counts it as live.
-//
-//qpvet:hotpath
-func (r *ring) grow(b byte) {
-	r.buf = append(r.buf, b) //qpvet:ignore hotalloc -- fixture: amortized growth, directive is live
+// mark reads the wall clock: the call fires determinism and the trailing
+// directive legitimately silences it - the audit counts it as live.
+func (s *stamp) mark() {
+	s.at = time.Now() //qpvet:ignore determinism -- fixture: wall-clock read, directive is live
 }
 
-// shrink no longer allocates: its directive suppresses nothing.
-//
-//qpvet:hotpath
-func (r *ring) shrink() {
-	r.buf = r.buf[:0] //qpvet:ignore hotalloc -- STALE: the allocation this excused is gone
+// clear no longer reads the clock: its directive suppresses nothing.
+func (s *stamp) clear() {
+	s.at = time.Time{} //qpvet:ignore determinism -- STALE: the clock read this excused is gone
 }
 
-func (r *ring) reset() {
+func (s *stamp) reset() {
 	//qpvet:ignore -- STALE: wildcard left behind after a refactor
-	r.buf = nil
+	*s = stamp{}
 }

@@ -418,8 +418,6 @@ func (e *engine) checkDiscipline() error {
 // word streams into individual word messages in send order. The step is
 // built in engine-owned scratch; routers may hold views into it only until
 // their next Route call (they all reset per call).
-//
-//qpvet:hotpath
 func (e *engine) routeMIMD(barrier bool) {
 	w := e.m.WordBytes
 	sends := e.sendsBuf
@@ -449,10 +447,10 @@ func (e *engine) routeMIMD(barrier bool) {
 					if i == words-1 {
 						b = len(m.payload) - (words-1)*w
 					}
-					sends[p] = append(sends[p], comm.Msg{Src: p, Dst: m.dst, Bytes: b}) //qpvet:ignore hotalloc -- amortized scratch growth, backing reused across supersteps
+					sends[p] = append(sends[p], comm.Msg{Src: p, Dst: m.dst, Bytes: b})
 				}
 			} else {
-				sends[p] = append(sends[p], comm.Msg{Src: p, Dst: m.dst, Bytes: len(m.payload)}) //qpvet:ignore hotalloc -- amortized scratch growth, backing reused across supersteps
+				sends[p] = append(sends[p], comm.Msg{Src: p, Dst: m.dst, Bytes: len(m.payload)})
 			}
 		}
 	}
@@ -481,8 +479,6 @@ func (e *engine) routeMIMD(barrier bool) {
 // barrier and clocks are already aligned. Block messages form one
 // synchronous communication step; streams are priced as ceil(bytes/word)
 // one-word steps each costing a full router step (MP-BSP's (g+L) per word).
-//
-//qpvet:hotpath
 func (e *engine) routeSIMD() {
 	hasStream, hasBlock := false, false
 	for p := 0; p < e.n; p++ {
@@ -495,7 +491,6 @@ func (e *engine) routeSIMD() {
 		}
 	}
 	if hasStream && hasBlock {
-		//qpvet:ignore hotalloc -- cold failure path: the step is already invalid when this formats
 		e.err = fmt.Errorf("bsplib: step %d mixes word streams and block messages on a SIMD machine", e.stepIdx)
 		return
 	}
@@ -516,7 +511,7 @@ func (e *engine) routeSIMD() {
 	case hasBlock:
 		for p := 0; p < e.n; p++ {
 			for _, m := range e.outboxes[p] {
-				sends[p] = append(sends[p], comm.Msg{Src: p, Dst: m.dst, Bytes: len(m.payload)}) //qpvet:ignore hotalloc -- amortized scratch growth, backing reused across supersteps
+				sends[p] = append(sends[p], comm.Msg{Src: p, Dst: m.dst, Bytes: len(m.payload)})
 			}
 		}
 		elapsed = e.priceStep(step, 1)
@@ -545,8 +540,6 @@ func (e *engine) routeSIMD() {
 // backing is safe - and the pattern build stops costing one slice
 // allocation per active PE per interval (the dominant allocation of the
 // MasPar experiments before the zero-copy pipeline).
-//
-//qpvet:hotpath
 func (e *engine) priceStreams() sim.Time {
 	w := e.m.WordBytes
 	runs := e.runsBuf
@@ -559,8 +552,8 @@ func (e *engine) priceStreams() sim.Time {
 		pos := 0
 		for _, m := range e.outboxes[p] {
 			words := (len(m.payload) + w - 1) / w
-			runs[p] = append(runs[p], streamRun{dst: m.dst, start: pos, end: pos + words}) //qpvet:ignore hotalloc -- amortized scratch growth, backing reused across supersteps
-			boundaries = append(boundaries, pos, pos+words)                                //qpvet:ignore hotalloc -- amortized scratch growth, backing reused across supersteps
+			runs[p] = append(runs[p], streamRun{dst: m.dst, start: pos, end: pos + words})
+			boundaries = append(boundaries, pos, pos+words)
 			pos += words
 		}
 		if pos > maxWords {
@@ -580,7 +573,7 @@ func (e *engine) priceStreams() sim.Time {
 		if i > 0 && b == boundaries[i-1] {
 			continue
 		}
-		uniq = append(uniq, b) //qpvet:ignore hotalloc -- in-place dedup: uniq aliases boundaries[:0] and can never outgrow its backing
+		uniq = append(uniq, b)
 	}
 	boundaries = uniq
 	e.boundaries = uniq
@@ -607,7 +600,7 @@ func (e *engine) priceStreams() sim.Time {
 			if cursor[p] < len(runs[p]) {
 				r := runs[p][cursor[p]]
 				if r.start <= b && b < r.end {
-					sends[p] = append(sends[p], comm.Msg{Src: p, Dst: r.dst, Bytes: w}) //qpvet:ignore hotalloc -- amortized scratch growth, backing reused across supersteps
+					sends[p] = append(sends[p], comm.Msg{Src: p, Dst: r.dst, Bytes: w})
 				}
 			}
 		}
@@ -650,8 +643,6 @@ func (e *engine) priceStep(step *comm.Step, repeat int) sim.Time {
 // was delivered. The previous step's delivery buffers are released to the
 // pool only AFTER the copies - a program may forward a received slice
 // verbatim, so its bytes must stay intact until they have been copied out.
-//
-//qpvet:hotpath
 func (e *engine) deliver() {
 	for p := 0; p < e.n; p++ {
 		e.inboxes[p] = e.inboxes[p][:0]
@@ -669,7 +660,7 @@ func (e *engine) deliver() {
 	delivered := e.delivered[:0]
 	if total > 0 {
 		arena := e.pool.GetNoClear(total)
-		delivered = append(delivered, arena) //qpvet:ignore hotalloc -- amortized scratch growth, backing reused across supersteps
+		delivered = append(delivered, arena)
 		off := 0
 		for src := 0; src < e.n; src++ {
 			for _, m := range e.outboxes[src] {
@@ -677,7 +668,7 @@ func (e *engine) deliver() {
 				off += len(m.payload)
 				copy(buf, m.payload)
 				//qpvet:ignore buflease -- delivery registry: arena sub-slice views are handed out via Recv and retired through prevDelivered next step
-				e.inboxes[m.dst] = append(e.inboxes[m.dst], comm.Msg{ //qpvet:ignore hotalloc -- amortized scratch growth, backing reused across supersteps
+				e.inboxes[m.dst] = append(e.inboxes[m.dst], comm.Msg{
 					Src: src, Dst: m.dst, Tag: m.tag, Bytes: len(buf), Payload: buf,
 				})
 			}

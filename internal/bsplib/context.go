@@ -95,17 +95,14 @@ func (c *Context) SendWords(dst, tag int, payload []byte) {
 	c.send(dst, tag, payload, true)
 }
 
-//qpvet:hotpath
 func (c *Context) send(dst, tag int, payload []byte, stream bool) {
 	if dst < 0 || dst >= c.e.n {
-		//qpvet:ignore hotalloc -- cold panic path: formatting runs once, on a bug
 		panic(fmt.Sprintf("bsplib: processor %d sends to invalid destination %d", c.id, dst))
 	}
 	if len(payload) == 0 {
-		//qpvet:ignore hotalloc -- cold panic path: formatting runs once, on a bug
 		panic(fmt.Sprintf("bsplib: processor %d sends empty payload", c.id))
 	}
-	c.outbox = append(c.outbox, outMsg{dst: dst, tag: tag, payload: payload, stream: stream}) //qpvet:ignore hotalloc -- amortized scratch growth, backing recycled after every synchronization
+	c.outbox = append(c.outbox, outMsg{dst: dst, tag: tag, payload: payload, stream: stream})
 }
 
 // Sync ends the superstep with a barrier: all queued messages are priced

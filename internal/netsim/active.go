@@ -123,12 +123,9 @@ type amArrival struct {
 func (a amArrival) Before(b amArrival) bool { return a.at < b.at }
 
 // Route prices one communication step under the coupled sender-stall model.
-//
-//qpvet:hotpath
 func (n *Active) Route(step *comm.Step, rng *sim.RNG) comm.Result {
 	p := n.cfg.Procs
 	if len(step.Sends) != p {
-		//qpvet:ignore hotalloc -- cold panic path: formatting runs once, on a bug
 		panic(fmt.Sprintf("netsim: step for %d processors on a %d-proc machine", len(step.Sends), p))
 	}
 	stats := comm.Stats{}
@@ -162,7 +159,7 @@ func (n *Active) Route(step *comm.Step, rng *sim.RNG) comm.Result {
 		if step.Offsets != nil {
 			at = step.Offsets[i]
 		}
-		seed = append(seed, sim.Event{At: at, Kind: evProcReady, Who: i}) //qpvet:ignore hotalloc -- amortized scratch growth, backing reused across Route calls
+		seed = append(seed, sim.Event{At: at, Kind: evProcReady, Who: i})
 	}
 	n.seed = seed
 	q.PushBatch(seed)
@@ -198,7 +195,6 @@ func (n *Active) Route(step *comm.Step, rng *sim.RNG) comm.Result {
 	elapsed := sim.Time(0)
 	for i := range procs {
 		if !procs[i].done {
-			//qpvet:ignore hotalloc -- cold failure path: formatting runs once, on a deadlock
 			n.wd.Fail(0, 0, fmt.Sprintf("processor %d never completed (deadlock in step?)", i))
 		}
 		finish[i] = procs[i].doneAt

@@ -161,12 +161,9 @@ type injection struct {
 // processor model. The returned Finish times are absolute per-processor
 // completion times (equal for all processors when the step has a barrier),
 // and Elapsed is the latest of them.
-//
-//qpvet:hotpath
 func (n *Phased) Route(step *comm.Step, rng *sim.RNG) comm.Result {
 	p := n.cfg.Procs
 	if len(step.Sends) != p {
-		//qpvet:ignore hotalloc -- cold panic path: formatting runs once, on a bug
 		panic(fmt.Sprintf("netsim: step for %d processors on a %d-proc machine", len(step.Sends), p))
 	}
 	n.links.Reset()
@@ -187,7 +184,7 @@ func (n *Phased) Route(step *comm.Step, rng *sim.RNG) comm.Result {
 		}
 		for _, m := range step.Sends[src] {
 			t += jittered(n.cfg.Jitter, n.cfg.SendCost(m.Bytes), rng)
-			injections = append(injections, injection{at: t, src: src, dst: m.Dst, bytes: m.Bytes}) //qpvet:ignore hotalloc -- amortized scratch growth, backing reused across Route calls
+			injections = append(injections, injection{at: t, src: src, dst: m.Dst, bytes: m.Bytes})
 			stats.Msgs++
 			stats.Bytes += m.Bytes
 		}
@@ -245,8 +242,6 @@ func (n *Phased) Route(step *comm.Step, rng *sim.RNG) comm.Result {
 // with a buffer of RecvBuffer slots. A message arriving to a full buffer is
 // retransmitted: it re-enters the arrival stream at the time the buffer has
 // room plus the retry penalty (jittered). Returns the completion time.
-//
-//qpvet:hotpath
 func (n *Phased) drain(dst int, cpuFree sim.Time, q *sim.Heap4[arrival], rng *sim.RNG, stats *comm.Stats) sim.Time {
 	if q.Len() == 0 {
 		return cpuFree
@@ -286,7 +281,7 @@ func (n *Phased) drain(dst int, cpuFree sim.Time, q *sim.Heap4[arrival], rng *si
 		if a.at > start {
 			start = a.at
 		}
-		recvStarts = append(recvStarts, start) //qpvet:ignore hotalloc -- amortized scratch growth, backing reused across drain calls
+		recvStarts = append(recvStarts, start)
 		end = start + jittered(n.cfg.Jitter, n.cfg.RecvCost(a.bytes), rng)
 		n.wd.Progress(start)
 	}

@@ -136,11 +136,8 @@ type wavePending struct {
 // The wave schedule is fully deterministic for a given step; the paper's
 // observed trial-to-trial variance comes from the random destination
 // choices of the benchmarked patterns, not from router nondeterminism.
-//
-//qpvet:hotpath
 func (r *Wave) Route(step *comm.Step, rng *sim.RNG) comm.Result {
 	if len(step.Sends) != r.cfg.PEs {
-		//qpvet:ignore hotalloc -- cold panic path: formatting runs once, on a bug
 		panic(fmt.Sprintf("netsim: step for %d processors on a %d-PE machine", len(step.Sends), r.cfg.PEs))
 	}
 	// Queue per source cluster channel, preserving PE order within the
@@ -154,7 +151,7 @@ func (r *Wave) Route(step *comm.Step, rng *sim.RNG) comm.Result {
 	for src, list := range step.Sends {
 		c := r.cluster(src)
 		for _, m := range list {
-			queues[c] = append(queues[c], wavePending{dst: m.Dst, bytes: m.Bytes}) //qpvet:ignore hotalloc -- amortized scratch growth, backing reused across Route calls
+			queues[c] = append(queues[c], wavePending{dst: m.Dst, bytes: m.Bytes})
 			stats.Msgs++
 			stats.Bytes += m.Bytes
 		}
@@ -200,8 +197,6 @@ func (r *Wave) Route(step *comm.Step, rng *sim.RNG) comm.Result {
 
 // waves runs the greedy circuit-switched schedule to exhaustion and returns
 // the summed wave time.
-//
-//qpvet:hotpath
 func (r *Wave) waves(queues [][]wavePending, stats *comm.Stats) sim.Time {
 	total := sim.Time(0)
 	remaining := 0
@@ -295,8 +290,6 @@ func (r *Wave) waves(queues [][]wavePending, stats *comm.Stats) sim.Time {
 // The base time is the busiest resource's; a conflict surcharge scales it
 // by how many extra circuit-establishment waves the cluster-level pattern
 // needs over the channel-serialization minimum.
-//
-//qpvet:hotpath
 func (r *Wave) stream(step *comm.Step, stats *comm.Stats) sim.Time {
 	srcBusy := r.srcBusy
 	clear(srcBusy)
@@ -328,7 +321,7 @@ func (r *Wave) stream(step *comm.Step, stats *comm.Stats) sim.Time {
 				crossIn[dc]++
 				// Cluster-level pattern for the conflict probe: one
 				// representative PE per destination channel.
-				queues[sc] = append(queues[sc], wavePending{dst: dc * r.cfg.ClusterSize, bytes: 0}) //qpvet:ignore hotalloc -- amortized scratch growth, backing reused across stream calls
+				queues[sc] = append(queues[sc], wavePending{dst: dc * r.cfg.ClusterSize, bytes: 0})
 			}
 		}
 	}

@@ -127,8 +127,6 @@ func (r *Router) Params() Params { return r.p }
 // transit walks the XY path hop by hop: store-and-forward means each hop
 // retransmits the whole message, claiming the link for the fixed hop cost
 // plus the per-byte stream time.
-//
-//qpvet:hotpath
 func (r *Router) transit(src, dst, bytes int, depart sim.Time, links *netsim.LinkTable, stats *comm.Stats) sim.Time {
 	if src == dst {
 		return depart

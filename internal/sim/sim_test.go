@@ -100,8 +100,8 @@ func TestEventQueuePushBatchMatchesPush(t *testing.T) {
 		return b
 	}
 	for _, tc := range []struct {
-		name            string
-		preload, batch  int
+		name           string
+		preload, batch int
 	}{
 		{"dominating-batch", 3, 64},
 		{"small-batch", 64, 3},
