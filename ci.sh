@@ -18,15 +18,18 @@
 #      exhausted retry budgets, and livelocks (internal/netsim), and the
 #      fault-disabled hot path still prices steps with zero allocations
 #      per Route call (BenchmarkRouterSteadyState asserts this);
-#   6. a fresh quick-scale run of all experiments diffs clean against the
+#   6. every examples/*/ program runs to a zero exit status: go build only
+#      compiles them, so this catches runtime failures in the library
+#      facade and in backends.CustomMesh;
+#   7. a fresh quick-scale run of all experiments diffs clean against the
 #      committed golden artifacts (internal/runstore/testdata/golden):
 #      any check-verdict flip or out-of-tolerance series drift fails CI;
-#   7. qpbench replays the quick benchmark subset and diffs it against the
+#   8. qpbench replays the quick benchmark subset and diffs it against the
 #      committed baseline, BENCH_memo.json: an allocs/op increase beyond
 #      10% fails CI, as does any sim-events/op increase (the event counts
 #      are deterministic, so the tolerance is zero); ns/op and B/op drift
 #      is advisory only;
-#   8. the nested perfbench module (the benchmark BENCHMARK.json declares)
+#   9. the nested perfbench module (the benchmark BENCHMARK.json declares)
 #      still vets and passes its short tests against this module's APIs.
 #
 # Each stage prints its wall-clock seconds so slow gates are visible in CI
@@ -88,6 +91,17 @@ go run ./cmd/qpvet ./...
 stage "fault-injection conformance gate"
 go test -run 'TestFaultProtocolConformance|TestFaultPartitionIsStructured' ./internal/netsim/
 go test -run '^$' -bench BenchmarkRouterSteadyState -benchtime 1x ./internal/netsim/
+
+stage "examples run"
+examples_bin=$(mktemp -d)
+trap 'rm -rf "$examples_bin"' EXIT
+go build -o "$examples_bin/" ./examples/...
+for prog in "$examples_bin"/*; do
+    "$prog" >/dev/null || {
+        echo "ci: example $(basename "$prog") exited nonzero"
+        exit 1
+    }
+done
 
 stage "golden artifact regression gate (qpexp -diff)"
 if out=$(go run ./cmd/qpexp -plot=false -diff internal/runstore/testdata/golden); then

@@ -20,6 +20,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime/pprof"
 	"strings"
@@ -111,6 +112,12 @@ func writeProfile(path string, prof *bytes.Buffer, code int) int {
 }
 
 func runAll(opt *options) int {
+	// Every drift comparison against NaN is false, so a NaN tolerance
+	// would silently turn the -diff gate off.
+	if math.IsNaN(opt.tol) || opt.tol < 0 {
+		fmt.Fprintf(os.Stderr, "qpexp: -tol %v: want a non-negative tolerance\n", opt.tol)
+		return 2
+	}
 	ctx := &experiments.Context{Trials: opt.trials, Seed: opt.seed, Workers: opt.workers}
 	if opt.faults != "" {
 		// Fault-injected runs describe a deliberately degraded machine;

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -22,5 +23,23 @@ func TestWriteProfileReportsFailure(t *testing.T) {
 	}
 	if code := writeProfile(filepath.Join(dir, "missing", "cpu.prof"), prof, 0); code != 1 {
 		t.Fatalf("unwritable path: exit code %d, want 1", code)
+	}
+}
+
+// TestTolRejectsNaNAndNegative diffs table1 against the golden store with
+// a NaN and a negative -tol. Both are usage errors (exit 2): a NaN
+// tolerance passes every drift and a negative one fails a byte-stable run.
+func TestTolRejectsNaNAndNegative(t *testing.T) {
+	for _, tol := range []float64{math.NaN(), -0.1} {
+		opt := options{
+			run:     "table1",
+			scale:   "quick",
+			seed:    1996,
+			diffDir: filepath.Join("..", "..", "internal", "runstore", "testdata", "golden"),
+			tol:     tol,
+		}
+		if code := runAll(&opt); code != 2 {
+			t.Errorf("-tol %v: exit code %d, want 2", tol, code)
+		}
 	}
 }

@@ -44,7 +44,7 @@ var stateFeedingCalls = map[string]bool{
 	"Charge":    true,
 	"ChargeOps": true,
 	"Push":      true, // sim.EventQueue
-	"Advance":   true, // sim.Clock
+	"Advance":   true, // faults.Plan
 	"AdvanceTo": true,
 	"Record":    true, // trace.Recorder
 	"Route":     true, // comm.Router

@@ -16,8 +16,7 @@
 //     report wall-clock durations and are exempt.
 //
 //   - simtime: sim.Time is a float64 alias, so == and != between Time
-//     values compile but are usually wrong; the analyzer flags them, plus
-//     Clock.Advance calls whose argument folds to a negative constant.
+//     values compile but are usually wrong; the analyzer flags them.
 //
 //   - rngstream: flags sim.NewRNG seeds computed by function calls and
 //     RNGs declared outside a loop but consumed by calls inside it —

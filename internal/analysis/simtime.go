@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/token"
 	"go/types"
 )
@@ -14,33 +13,24 @@ import (
 // exact comparison is intentional (FIFO tie-breaking on equal timestamps),
 // suppress with //qpvet:ignore simtime and say why.
 //
-// The analyzer also rejects Clock.Advance calls whose argument is a
-// negative constant: simulated time never flows backwards, and a constant
-// negative duration is a cost-model bug caught at analysis time rather
-// than as a runtime panic.
-//
 // Because the alias erases to float64 under go/types, Time values are
 // recognized syntactically: any expression rooted in an object whose
 // declaration spells sim.Time (collected module-wide at load).
 var SimTime = &Analyzer{
 	Name: "simtime",
-	Doc:  "flag ==/!= on sim.Time values and constant negative Clock.Advance durations",
+	Doc:  "flag ==/!= on sim.Time values",
 	Run:  runSimTime,
 }
 
 func runSimTime(p *Pass) {
 	for _, file := range p.Pkg.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
-			switch node := n.(type) {
-			case *ast.BinaryExpr:
-				if node.Op != token.EQL && node.Op != token.NEQ {
-					return true
-				}
-				if p.isTimeExpr(node.X) || p.isTimeExpr(node.Y) {
-					p.Reportf(node.Pos(), "%s compares sim.Time values exactly (float64 microseconds); use a tolerance or an ordering comparison", node.Op)
-				}
-			case *ast.CallExpr:
-				checkNegativeAdvance(p, node)
+			node, ok := n.(*ast.BinaryExpr)
+			if !ok || (node.Op != token.EQL && node.Op != token.NEQ) {
+				return true
+			}
+			if p.isTimeExpr(node.X) || p.isTimeExpr(node.Y) {
+				p.Reportf(node.Pos(), "%s compares sim.Time values exactly (float64 microseconds); use a tolerance or an ordering comparison", node.Op)
 			}
 			return true
 		})
@@ -96,29 +86,4 @@ func (p *Pass) exprIsFloat64(e ast.Expr) bool {
 	}
 	basic, ok := tv.Type.Underlying().(*types.Basic)
 	return ok && basic.Kind() == types.Float64
-}
-
-// checkNegativeAdvance flags sim.Clock.Advance (and AdvanceTo) calls whose
-// duration argument folds to a negative constant.
-func checkNegativeAdvance(p *Pass, call *ast.CallExpr) {
-	obj := calleeObject(p.Pkg.Info, call)
-	fn, ok := obj.(*types.Func)
-	if !ok || fn.Name() != "Advance" {
-		return
-	}
-	recv := namedReceiverOf(fn)
-	if recv == nil || recv.Obj().Name() != "Clock" ||
-		recv.Obj().Pkg() == nil || recv.Obj().Pkg().Path() != p.World.SimPath() {
-		return
-	}
-	if len(call.Args) != 1 {
-		return
-	}
-	tv, ok := p.Pkg.Info.Types[call.Args[0]]
-	if !ok || tv.Value == nil {
-		return
-	}
-	if constant.Sign(tv.Value) < 0 {
-		p.Reportf(call.Args[0].Pos(), "Clock.Advance with constant negative duration %s: simulated time never flows backwards (this panics at run time)", tv.Value.String())
-	}
 }

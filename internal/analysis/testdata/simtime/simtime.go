@@ -1,5 +1,5 @@
 // Package simtime is a qpvet golden-file fixture for the sim.Time float64
-// comparison and negative Clock.Advance checks.
+// comparison check.
 package simtime
 
 import "quantpar/internal/sim"
@@ -29,12 +29,4 @@ func idle(r result) bool {
 
 func stepsDone(r result) bool {
 	return r.Steps == 0 // int comparison: clean
-}
-
-func rewind(c *sim.Clock) {
-	c.Advance(-2.5) // want "negative duration"
-}
-
-func forward(c *sim.Clock) {
-	c.Advance(2.5)
 }

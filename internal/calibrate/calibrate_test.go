@@ -1,12 +1,10 @@
 package calibrate
 
 import (
-	"reflect"
 	"testing"
 	"testing/quick"
 
 	"quantpar/internal/comm"
-	"quantpar/internal/phase"
 	"quantpar/internal/router/maspar"
 	"quantpar/internal/sim"
 )
@@ -172,19 +170,6 @@ func TestMultinodeScatterBounds(t *testing.T) {
 	}
 }
 
-func TestBroadcastShape(t *testing.T) {
-	s := Broadcast(16, 3, 4)
-	out, in := s.Degrees()
-	if out[3] != 15 {
-		t.Fatalf("root sends %d", out[3])
-	}
-	for i := 0; i < 16; i++ {
-		if i != 3 && in[i] != 1 {
-			t.Fatalf("processor %d received %d", i, in[i])
-		}
-	}
-}
-
 // --- measurement and fitting against a real router ---
 
 func TestMeasureDeterminism(t *testing.T) {
@@ -309,32 +294,5 @@ func TestCurveXY(t *testing.T) {
 	xs, ys := XY(pts)
 	if xs[1] != 2 || ys[1] != 20 {
 		t.Fatalf("XY unzip wrong: %v %v", xs, ys)
-	}
-}
-
-// TestBuildDocumentMemoEquivalence covers qpcal's whole output: the
-// calibration document must be identical with the phase memo on and off,
-// serially and fanned out, because a replay restores exactly the outcome
-// and RNG stream position the simulation would have produced.
-func TestBuildDocumentMemoEquivalence(t *testing.T) {
-	defer phase.SetEnabled(true)
-	var want *Document
-	for _, on := range []bool{true, false} {
-		phase.SetEnabled(on)
-		hits := phase.Hits()
-		for _, workers := range []int{1, 8} {
-			doc, err := BuildDocument(2, workers, 1996)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want == nil {
-				want = doc
-			} else if !reflect.DeepEqual(doc, want) {
-				t.Fatalf("memo on=%v, %d workers: document differs from the first build", on, workers)
-			}
-		}
-		if on && phase.Hits() == hits {
-			t.Fatal("memo-on builds replayed nothing; the comparison proves nothing")
-		}
 	}
 }

@@ -159,16 +159,3 @@ func MultinodeScatter(p, srcs, h, bytes int, rng *sim.RNG) *comm.Step {
 	}
 	return step
 }
-
-// Broadcast builds a one-to-all step: root sends one message of the given
-// size to every other processor.
-func Broadcast(p, root, bytes int) *comm.Step {
-	step := &comm.Step{Sends: make([][]comm.Msg, p), Barrier: true}
-	for d := 0; d < p; d++ {
-		if d == root {
-			continue
-		}
-		step.Sends[root] = append(step.Sends[root], comm.Msg{Src: root, Dst: d, Bytes: bytes})
-	}
-	return step
-}

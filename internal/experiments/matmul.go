@@ -3,7 +3,6 @@ package experiments
 import (
 	"quantpar/internal/algorithms/matmul"
 	"quantpar/internal/core"
-	"quantpar/internal/linalg"
 	"quantpar/internal/machine"
 	"quantpar/internal/sim"
 	"quantpar/internal/vendorlib"
@@ -277,10 +276,4 @@ func runFig20(ctx *Context) (*Outcome, error) {
 		"model %.0f vs CMSSL %.0f Mflops at N=%d (paper: 366 vs <=151)", s.Measured[last], s.Predicted[last], ns[last])
 	out.check("library caps out early", s.Predicted[last] < 200, "CMSSL %.0f Mflops", s.Predicted[last])
 	return out, nil
-}
-
-// referenceProduct sanity-checks a vendor model result shape (used by tests).
-func referenceProduct(n int, seed uint64) (*linalg.Mat, *linalg.Mat) {
-	rng := sim.NewRNG(seed)
-	return linalg.NewMat(n, n).Random(rng), linalg.NewMat(n, n).Random(rng)
 }

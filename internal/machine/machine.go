@@ -106,12 +106,12 @@ func InjectFaults(m *Machine, p *faults.Plan) error {
 	return nil
 }
 
-// ReferenceParams are the Table 1 parameters measured on the *simulated*
-// machines by the calibration microbenchmarks (cmd/qpcal, seed 1996). The
-// analytic model predictions use these, exactly as the paper's predictions
-// used the parameters measured on the real machines. Re-derive them at any
-// time with calibrate.Sweeper.Extract; they drift only if the router constants
-// change.
+// ReferenceParams are the Table 1 parameters every analytic model
+// prediction uses, as the paper's predictions used the parameters measured
+// on the real machines. They were fitted on an earlier revision of the
+// simulated machines and are now frozen inputs: changing one changes the
+// goldens and needs a runstore.ModuleVersion bump. `qpexp -run table1,fig02
+// -scale full` reports the values today's simulators measure.
 type ReferenceParams struct {
 	G, L       sim.Time // (MP-)BSP parameters, per word-size message
 	Sigma, Ell sim.Time // MP-BPRAM parameters, per byte / per message

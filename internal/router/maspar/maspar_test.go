@@ -62,19 +62,30 @@ func TestRouteDeterministic(t *testing.T) {
 	}
 }
 
+// TestCubePermutationDiscount prices the bitonic exchange: a one-bit XOR
+// permutation of 4-byte words routes conflict-free in exactly ClusterSize
+// waves, one per PE of a cluster channel, so it costs exactly
+// LFixed + ClusterSize*(TCircuit + TLaunch + 4*TByte) for every bit.
 func TestCubePermutationDiscount(t *testing.T) {
 	r := newRouter(t)
+	p := DefaultParams()
+	want := p.LFixed + sim.Time(p.ClusterSize)*(p.TCircuit+p.TLaunch+4*p.TByte)
 	rng := sim.NewRNG(7)
 	random := r.Route(permStep(r.Procs(), rng.Perm(r.Procs()), 4), rng).Elapsed
 
 	cube := make([]int, r.Procs())
-	for i := range cube {
-		cube[i] = i ^ (1 << 7) // cross-cluster single-bit exchange
+	for bit := 0; 1<<bit < r.Procs(); bit++ {
+		for i := range cube {
+			cube[i] = i ^ (1 << bit)
+		}
+		res := r.Route(permStep(r.Procs(), cube, 4), rng)
+		if res.Elapsed != want || res.Stats.Waves != p.ClusterSize {
+			t.Errorf("bit %d: %g us in %d waves, want %g us in %d", bit, res.Elapsed, res.Stats.Waves, want, p.ClusterSize)
+		}
 	}
-	cubeT := r.Route(permStep(r.Procs(), cube, 4), rng).Elapsed
-	ratio := random / cubeT
+	ratio := random / want
 	if ratio < 1.6 || ratio > 3.5 {
-		t.Fatalf("cube discount ratio %.2f (random %.0f, cube %.0f); paper ~2.2", ratio, random, cubeT)
+		t.Fatalf("cube discount ratio %.2f (random %.0f, cube %.0f); paper ~2.2", ratio, random, want)
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package runstore is the versioned run-artifact store behind the
-// measurement pipeline: every experiment or calibration run serializes to a
+// measurement pipeline: every experiment run serializes to a
 // byte-deterministic JSON artifact carrying its configuration fingerprint,
 // the measured-versus-predicted series, the shape-check verdicts, and the
 // aggregated router statistics of the run. Identical configurations always
@@ -50,11 +50,10 @@ type Artifact struct {
 // absent: they may not change a single simulated number (the parsweep
 // determinism contract), so they must not change the fingerprint either.
 type Config struct {
-	// Kind distinguishes artifact producers: "experiment" (qpexp) or
-	// "calibration" (qpcal).
+	// Kind names the artifact producer. Its one value is "experiment";
+	// it stays in the schema because every stored fingerprint covers it.
 	Kind string
-	// ID is the experiment identifier ("fig04", "table1", ...) or the
-	// calibration document name.
+	// ID is the experiment identifier ("fig04", "table1", ...).
 	ID    string
 	Title string
 	// Scale is "quick" or "full".

@@ -7,38 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestClockAdvance(t *testing.T) {
-	var c Clock
-	if c.Now() != 0 {
-		t.Fatalf("new clock at %g, want 0", c.Now())
-	}
-	c.Advance(1.5)
-	c.Advance(2.5)
-	if c.Now() != 4 {
-		t.Fatalf("clock at %g, want 4", c.Now())
-	}
-	if !c.AdvanceTo(10) || c.Now() != 10 {
-		t.Fatalf("AdvanceTo(10) failed, clock at %g", c.Now())
-	}
-	if c.AdvanceTo(5) {
-		t.Fatal("AdvanceTo(5) moved a clock already at 10")
-	}
-	c.Reset()
-	if c.Now() != 0 {
-		t.Fatalf("reset clock at %g", c.Now())
-	}
-}
-
-func TestClockNegativeAdvancePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative advance did not panic")
-		}
-	}()
-	var c Clock
-	c.Advance(-1)
-}
-
 func TestEventQueueOrdersByTime(t *testing.T) {
 	var q EventQueue
 	times := []Time{5, 1, 3, 2, 4, 0.5}

@@ -23,12 +23,6 @@ import (
 	"math"
 )
 
-// Word sizes in bytes.
-const (
-	Word32 = 4
-	Word64 = 8
-)
-
 // AppendUint32s appends xs to dst as consecutive little-endian 32-bit words.
 func AppendUint32s(dst []byte, xs []uint32) []byte {
 	for _, x := range xs {

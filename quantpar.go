@@ -162,9 +162,9 @@ func ExperimentByID(id string) (Experiment, error) { return experiments.ByID(id)
 // in its error.
 func ResolveExperiment(id string) (Experiment, error) { return experiments.Resolve(id) }
 
-// Run-artifact store (DESIGN.md §9): every experiment or calibration run
-// serializes to a versioned, byte-deterministic artifact; stores cache runs
-// by config fingerprint and diff them against committed baselines.
+// Run-artifact store (DESIGN.md §9): every experiment run serializes to a
+// versioned, byte-deterministic artifact; stores cache runs by config
+// fingerprint and diff them against committed baselines.
 type (
 	// Artifact is one stored run: fingerprinted config plus full result.
 	Artifact = runstore.Artifact
