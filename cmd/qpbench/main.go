@@ -11,8 +11,8 @@
 //	qpbench -o BENCH_memo.json          # write the canonical snapshot
 //	qpbench -quick -diff BENCH_memo.json
 //	                                    # run and compare against the baseline
-//	qpbench -ids fig03,fig04            # explicit benchmark subset
 //
+// Every benchmark runs the quick-scale sweep, one iteration per sample.
 // Each benchmark is sampled three times and every metric keeps its
 // per-sample minimum (the benchstat convention: the least-interfered-with
 // run is the honest one). The phase memo store is reset at the start of
@@ -22,13 +22,12 @@
 // independent of which benchmarks ran earlier in the process.
 //
 // -diff names one baseline snapshot in qpbench's canonical format. An
-// allocs/op increase beyond -alloc-tol (default 10%) or a sim-events/op
-// increase beyond -events-tol (default 0: the count is deterministic, so
-// any increase is real) against the baseline is a blocking regression:
-// qpbench prints it and exits 1. Wall-clock ns/op and B/op drift is
-// reported as advisory only, because single-iteration timings on shared CI
-// hardware are too noisy to gate on. Baselines that predate a metric simply
-// don't gate it.
+// allocs/op increase beyond 10% or any sim-events/op increase (the count
+// is deterministic, so any increase is real) against the baseline is a
+// blocking regression: qpbench prints it and exits 1. Wall-clock ns/op
+// drift beyond 25% and B/op drift beyond 10% are reported as advisory
+// only, because single-iteration timings on shared CI hardware are too
+// noisy to gate on. Baselines that predate a metric simply don't gate it.
 //
 // qpbench exits 0 on success, 1 on a benchmark failure or a blocking
 // regression, and 2 on usage errors.
@@ -89,14 +88,7 @@ func nameOf(id string) (string, bool) {
 
 func main() {
 	quick := flag.Bool("quick", false, "run only the quick subset (table1, fig03, fig04)")
-	ids := flag.String("ids", "", "comma-separated experiment IDs to benchmark (default: all)")
 	out := flag.String("o", "", "write the canonical qpbench JSON snapshot to this file")
-	scale := flag.String("scale", "quick", "sweep scale: quick or full (QP_FULL=1 also selects full)")
-	benchtime := flag.String("benchtime", "1x", "benchmark time per benchmark (go test -benchtime syntax)")
-	allocTol := flag.Float64("alloc-tol", 0.10, "blocking tolerance for allocs/op increases")
-	nsTol := flag.Float64("ns-tol", 0.25, "advisory tolerance for ns/op increases")
-	bytesTol := flag.Float64("bytes-tol", 0.10, "advisory tolerance for B/op increases")
-	eventsTol := flag.Float64("events-tol", 0, "blocking tolerance for sim-events/op increases (deterministic; any increase is real)")
 	diff := flag.String("diff", "", "baseline snapshot to compare against (qpbench canonical format)")
 	testing.Init()
 	flag.Parse()
@@ -104,33 +96,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "qpbench: unexpected arguments %q\n", flag.Args())
 		os.Exit(2)
 	}
-	if err := flag.Set("test.benchtime", *benchtime); err != nil {
-		fmt.Fprintln(os.Stderr, "qpbench: bad -benchtime:", err)
-		os.Exit(2)
-	}
+	// testing.Init registered test.benchtime, so setting it cannot fail.
+	_ = flag.Set("test.benchtime", "1x")
 
 	ctx := experiments.DefaultContext()
-	if *scale == "full" || os.Getenv("QP_FULL") == "1" {
-		ctx.Scale = experiments.Full
-	} else if *scale != "quick" {
-		fmt.Fprintf(os.Stderr, "qpbench: unknown -scale %q (want quick or full)\n", *scale)
-		os.Exit(2)
-	}
-
-	selected := make([]string, 0, len(figureBenches))
-	switch {
-	case *ids != "":
-		for _, id := range strings.Split(*ids, ",") {
-			id = strings.TrimSpace(id)
-			if _, ok := nameOf(id); !ok {
-				fmt.Fprintf(os.Stderr, "qpbench: unknown experiment id %q\n", id)
-				os.Exit(2)
-			}
-			selected = append(selected, id)
-		}
-	case *quick:
-		selected = append(selected, quickIDs...)
-	default:
+	selected := quickIDs
+	if !*quick {
+		selected = make([]string, 0, len(figureBenches))
 		for _, fb := range figureBenches {
 			selected = append(selected, fb.id)
 		}
@@ -174,9 +146,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "qpbench: %s: %v\n", *diff, err)
 			os.Exit(2)
 		}
-		tol := Tolerances{Allocs: *allocTol, Ns: *nsTol, Bytes: *bytesTol, Events: *eventsTol}
 		var lines []string
-		lines, regressed = Diff(report.Benchmarks, base, tol)
+		lines, regressed = Diff(report.Benchmarks, base, Tolerances{Allocs: 0.10, Ns: 0.25, Bytes: 0.10, Events: 0})
 		for _, l := range lines {
 			fmt.Printf("diff %s: %s\n", *diff, l)
 		}

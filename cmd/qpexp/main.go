@@ -118,6 +118,13 @@ func runAll(opt *options) int {
 		fmt.Fprintf(os.Stderr, "qpexp: -tol %v: want a non-negative tolerance\n", opt.tol)
 		return 2
 	}
+	// Trials 0 selects the per-scale default, but the fingerprint records
+	// the raw count, so a negative one would rerun the default under a
+	// second fingerprint.
+	if opt.trials < 0 {
+		fmt.Fprintf(os.Stderr, "qpexp: -trials %d: want a non-negative count\n", opt.trials)
+		return 2
+	}
 	ctx := &experiments.Context{Trials: opt.trials, Seed: opt.seed, Workers: opt.workers}
 	if opt.faults != "" {
 		// Fault-injected runs describe a deliberately degraded machine;

@@ -43,3 +43,19 @@ func TestTolRejectsNaNAndNegative(t *testing.T) {
 		}
 	}
 }
+
+// TestTrialsRejectsNegative diffs fig02 against the golden store with
+// -trials -1, a usage error (exit 2): it would rerun the per-scale default
+// under a fingerprint no golden artifact carries.
+func TestTrialsRejectsNegative(t *testing.T) {
+	opt := options{
+		run:     "fig02",
+		scale:   "quick",
+		seed:    1996,
+		trials:  -1,
+		diffDir: filepath.Join("..", "..", "internal", "runstore", "testdata", "golden"),
+	}
+	if code := runAll(&opt); code != 2 {
+		t.Errorf("-trials -1: exit code %d, want 2", code)
+	}
+}

@@ -59,6 +59,9 @@ func Run(m *machine.Machine, cfg Config) (*Result, error) {
 	if sq*sq != p {
 		return nil, fmt.Errorf("apsp: P=%d is not a perfect square", p)
 	}
+	if cfg.N <= 0 {
+		return nil, fmt.Errorf("apsp: N=%d, want a positive matrix size", cfg.N)
+	}
 	if cfg.N%sq != 0 {
 		return nil, fmt.Errorf("apsp: N=%d not divisible by sqrt(P)=%d", cfg.N, sq)
 	}

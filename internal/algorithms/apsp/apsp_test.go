@@ -83,12 +83,20 @@ func TestDensitySweepProperty(t *testing.T) {
 }
 
 func TestValidation(t *testing.T) {
-	gc := all(t)[1]
+	ms := all(t)
+	gc, cm := ms[1], ms[2]
 	if _, err := Run(gc, Config{N: 30}); err == nil {
 		t.Fatal("indivisible N accepted")
 	}
 	if _, err := Run(gc, Config{N: 12}); err == nil {
 		t.Fatal("M=1.5 accepted")
+	}
+	// A zero or negative size is an error, not a division by a zero
+	// segment size or a negative matrix shape.
+	for _, n := range []int{0, -8} {
+		if _, err := Run(cm, Config{N: n}); err == nil {
+			t.Errorf("N=%d accepted", n)
+		}
 	}
 }
 

@@ -9,33 +9,29 @@ import (
 )
 
 // BufLease is the flow-sensitive buffer-lifetime check. The zero-copy
-// pipeline hands code two kinds of short-lived []byte values: pool leases
-// (sim.BufferPool.Get/GetNoClear, owned until Put) and superstep-scoped
-// values (bsplib Context.PayloadBuf leases and Recv/RecvFrom/RecvMsgs
-// delivery views, both reclaimed by the engine at the next Sync/Flush).
-// Misusing either corrupts a buffer that the pool may already have re-leased
-// to another processor, which shows up as nondeterministic run artifacts -
-// the one failure mode this codebase cannot tolerate. BufLease tracks those
-// values through the control-flow graph and flags use-after-Put, double Put,
-// leases escaping to fields/globals or goroutines, and step-scoped values
-// used past the Sync that killed them.
+// pipeline hands code superstep-scoped []byte values: bsplib
+// Context.PayloadBuf leases and Recv/RecvFrom/RecvMsgs delivery views, both
+// reclaimed by the engine at the next Sync/Flush. Using one after that
+// reads bytes the next superstep has already overwritten, which shows up
+// as nondeterministic run artifacts - the one failure mode this codebase
+// cannot tolerate. BufLease tracks those values through the control-flow
+// graph and flags leases escaping to fields/globals or goroutines, and
+// step-scoped values used past the Sync that killed them.
 var BufLease = &Analyzer{
 	Name: "buflease",
-	Doc:  "track pool buffer and superstep-view lifetimes through the CFG (use-after-Put, double Put, escapes, cross-Sync retention)",
+	Doc:  "track PayloadBuf lease and delivery-view lifetimes through the CFG (escapes, goroutine captures, cross-Sync retention)",
 	Run:  runBufLease,
 }
 
 // The lattice, ordered so every transfer is monotone under join = max:
 // a synchronization promotes step-scoped values (blStepLease, blView) to
-// blStale, and Put promotes anything to blReleased.
+// blStale.
 const (
 	blNone      flow.Val = iota // not a tracked buffer
-	blLease                     // pool.Get/GetNoClear: caller owns it until Put
 	blAgg                       // aggregate (slice/struct) holding live leases
 	blStepLease                 // Context.PayloadBuf: engine reclaims at next Sync
 	blView                      // Recv/RecvFrom/RecvMsgs view: dead after next Sync
 	blStale                     // step-scoped value after a Sync/Flush crossed it
-	blReleased                  // after Put: the pool may have re-leased it
 )
 
 func blJoin(a, b flow.Val) flow.Val {
@@ -47,19 +43,18 @@ func blJoin(a, b flow.Val) flow.Val {
 
 // isOwnedLease: values whose escape out of the owning frame is a bug.
 func isOwnedLease(v flow.Val) bool {
-	return v == blLease || v == blAgg || v == blStepLease
+	return v == blAgg || v == blStepLease
 }
 
 // isLiveBuffer: values a spawned goroutine must not capture.
 func isLiveBuffer(v flow.Val) bool {
-	return v == blLease || v == blAgg || v == blStepLease || v == blView
+	return v == blAgg || v == blStepLease || v == blView
 }
 
 func runBufLease(p *Pass) {
 	t := &leaseTracker{
 		p:          p,
 		info:       p.Pkg.Info,
-		simPath:    p.World.SimPath(),
 		bsplibPath: p.World.ModulePath + "/internal/bsplib",
 		summaries:  p.World.LeaseSummaries(),
 	}
@@ -90,7 +85,6 @@ func runBufLease(p *Pass) {
 type leaseTracker struct {
 	p          *Pass
 	info       *types.Info
-	simPath    string
 	bsplibPath string
 	summaries  map[*types.Func]*leaseSummary
 }
@@ -121,10 +115,8 @@ func (t *leaseTracker) transfer(n ast.Node, s flow.State, report bool) {
 	}
 }
 
-// checkUses flags identifiers read while their buffer is released or stale.
-// Identifiers being wholly overwritten (assignment LHS) and the direct
-// argument of a pool Put are exempt: Put of a released buffer is the double-
-// Put rule's job, with a better message.
+// checkUses flags identifiers read while their buffer is stale. Identifiers
+// being wholly overwritten (assignment LHS) are exempt.
 func (t *leaseTracker) checkUses(n ast.Node, s flow.State, report bool) {
 	if !report {
 		return
@@ -141,10 +133,6 @@ func (t *leaseTracker) checkUses(n ast.Node, s flow.State, report bool) {
 					skip[id] = true
 				}
 			}
-		case *ast.CallExpr:
-			if id := t.putArgIdent(v); id != nil {
-				skip[id] = true
-			}
 		case *ast.Ident:
 			if skip[v] {
 				return true
@@ -153,10 +141,7 @@ func (t *leaseTracker) checkUses(n ast.Node, s flow.State, report bool) {
 			if obj == nil {
 				return true
 			}
-			switch s.Get(obj) {
-			case blReleased:
-				t.p.Reportf(v.Pos(), "use after Put: buffer %s was returned to the pool and may already back another lease", v.Name)
-			case blStale:
+			if s.Get(obj) == blStale {
 				t.p.Reportf(v.Pos(), "cross-Sync retention: %s is a superstep-scoped buffer (PayloadBuf lease or delivery view) used after Sync/Flush reclaimed it; copy the bytes out before synchronizing", v.Name)
 			}
 		}
@@ -164,16 +149,7 @@ func (t *leaseTracker) checkUses(n ast.Node, s flow.State, report bool) {
 	})
 }
 
-// putArgIdent returns the identifier passed directly to a pool Put, if any.
-func (t *leaseTracker) putArgIdent(call *ast.CallExpr) *ast.Ident {
-	if poolMethodName(t.info, call, t.simPath) != "Put" || len(call.Args) != 1 {
-		return nil
-	}
-	id, _ := ast.Unparen(call.Args[0]).(*ast.Ident)
-	return id
-}
-
-// applyEffects walks the node for calls with lifetime effects (Put, Sync,
+// applyEffects walks the node for calls with lifetime effects (Sync,
 // summarized helpers), skipping function-literal bodies, whose effects
 // happen when the literal runs.
 func (t *leaseTracker) applyEffects(n ast.Node, s flow.State, report bool) {
@@ -197,30 +173,6 @@ func (t *leaseTracker) callEffects(call *ast.CallExpr, s flow.State, report bool
 			t.checkUses(lit.Body, s, report)
 			t.applyEffects(lit.Body, s, report)
 		}
-		return
-	}
-	switch poolMethodName(t.info, call, t.simPath) {
-	case "Put":
-		if len(call.Args) != 1 {
-			return
-		}
-		id, _ := ast.Unparen(call.Args[0]).(*ast.Ident)
-		if id == nil {
-			return
-		}
-		obj := t.info.Uses[id]
-		if obj == nil {
-			return
-		}
-		if report {
-			switch s.Get(obj) {
-			case blReleased:
-				t.p.Reportf(call.Pos(), "double Put: buffer %s was already returned to the pool; a second Put corrupts the free list", id.Name)
-			case blStepLease, blView:
-				t.p.Reportf(call.Pos(), "manual Put of engine-managed buffer %s: PayloadBuf leases and delivery views are reclaimed by the engine at Sync; putting them yourself double-frees", id.Name)
-			}
-		}
-		s.Set(obj, blReleased)
 		return
 	}
 	switch contextMethodName(t.info, call, t.bsplibPath) {
@@ -251,9 +203,6 @@ func (t *leaseTracker) callEffects(call *ast.CallExpr, s flow.State, report bool
 		if sum.storesParams[i] && report && isOwnedLease(s.Get(obj)) {
 			t.p.Reportf(arg.Pos(), "lease escape: %s is passed to %s, which stores its argument beyond the call frame; the buffer outlives its owner", id.Name, fn.Name())
 		}
-		if sum.putsParams[i] {
-			s.Set(obj, blReleased)
-		}
 	}
 }
 
@@ -272,10 +221,6 @@ func (t *leaseTracker) valueOf(e ast.Expr, s flow.State) flow.Val {
 	case *ast.Ident:
 		return s.Get(t.info.Uses[v])
 	case *ast.CallExpr:
-		switch poolMethodName(t.info, v, t.simPath) {
-		case "Get", "GetNoClear":
-			return blLease
-		}
 		switch contextMethodName(t.info, v, t.bsplibPath) {
 		case "PayloadBuf":
 			return blStepLease
@@ -300,7 +245,7 @@ func (t *leaseTracker) valueOf(e ast.Expr, s flow.State) flow.Val {
 		}
 		if fn, ok := calleeObject(t.info, v).(*types.Func); ok {
 			if sum := t.summaries[fn]; sum != nil && sum.returnsLease {
-				return blLease
+				return blStepLease
 			}
 		}
 		return blNone
@@ -311,12 +256,10 @@ func (t *leaseTracker) valueOf(e ast.Expr, s flow.State) flow.Val {
 		if !carriesBuffer(t.info.Types[e].Type) {
 			return blNone
 		}
-		switch xv := t.valueOf(v.X, s); xv {
-		case blAgg:
-			return blLease
-		default:
+		if xv := t.valueOf(v.X, s); xv != blAgg {
 			return xv
 		}
+		return blStepLease
 	case *ast.SelectorExpr:
 		// A field of a view struct (msg.Payload) is still a view.
 		if !carriesBuffer(t.info.Types[e].Type) {
@@ -390,18 +333,18 @@ func (t *leaseTracker) bind(lhs ast.Expr, rv flow.Val, tok token.Token, s flow.S
 			obj = t.info.Uses[l]
 		}
 		if report && isOwnedLease(rv) && isPackageLevelVar(obj) {
-			t.p.Reportf(l.Pos(), "lease escape: pool buffer stored in package-level variable %s outlives its owner's frame and superstep", l.Name)
+			t.p.Reportf(l.Pos(), "lease escape: PayloadBuf lease stored in package-level variable %s outlives its owner's frame and superstep", l.Name)
 		}
 		if tok == token.ASSIGN || tok == token.DEFINE {
 			s.Set(obj, rv)
 		}
 	case *ast.SelectorExpr:
 		if report && isOwnedLease(rv) {
-			t.p.Reportf(l.Pos(), "lease escape: pool buffer stored in field or qualified variable %s outlives its owner's frame; the pool can re-lease it while the field still points at it", selectorString(l))
+			t.p.Reportf(l.Pos(), "lease escape: PayloadBuf lease stored in field or qualified variable %s outlives its owner's frame; the next superstep reuses it while the field still points at it", selectorString(l))
 		}
 	case *ast.StarExpr:
 		if report && isOwnedLease(rv) {
-			t.p.Reportf(l.Pos(), "lease escape: pool buffer stored through a pointer outlives its owner's frame")
+			t.p.Reportf(l.Pos(), "lease escape: PayloadBuf lease stored through a pointer outlives its owner's frame")
 		}
 	case *ast.IndexExpr:
 		base := l.X
@@ -417,7 +360,7 @@ func (t *leaseTracker) bind(lhs ast.Expr, rv flow.Val, tok token.Token, s flow.S
 			obj := t.info.Uses[bx]
 			if isPackageLevelVar(obj) {
 				if report && isOwnedLease(rv) {
-					t.p.Reportf(l.Pos(), "lease escape: pool buffer stored in an element of package-level %s outlives its owner's frame", bx.Name)
+					t.p.Reportf(l.Pos(), "lease escape: PayloadBuf lease stored in an element of package-level %s outlives its owner's frame", bx.Name)
 				}
 				return
 			}
@@ -427,7 +370,7 @@ func (t *leaseTracker) bind(lhs ast.Expr, rv flow.Val, tok token.Token, s flow.S
 			}
 		case *ast.SelectorExpr:
 			if report && isOwnedLease(rv) {
-				t.p.Reportf(l.Pos(), "lease escape: pool buffer stored in an element of field %s outlives its owner's frame", selectorString(bx))
+				t.p.Reportf(l.Pos(), "lease escape: PayloadBuf lease stored in an element of field %s outlives its owner's frame", selectorString(bx))
 			}
 		}
 	}
@@ -466,7 +409,7 @@ func (t *leaseTracker) rangeHeader(nd *ast.RangeStmt, s flow.State, report bool)
 	var elem flow.Val
 	switch t.valueOf(nd.X, s) {
 	case blAgg:
-		elem = blLease // element of a lease container is a lease
+		elem = blStepLease // element of a lease container is a lease
 	case blView:
 		elem = blView // element of a delivery batch ([]comm.Msg) is a view
 	}
@@ -490,7 +433,7 @@ func (t *leaseTracker) rangeHeader(nd *ast.RangeStmt, s flow.State, report bool)
 }
 
 // goStmt flags live buffers handed to a spawned goroutine: the goroutine
-// runs concurrently with (and typically past) the owner's Put or Sync, so
+// runs concurrently with (and typically past) the owner's Sync, so
 // the capture is a lifetime race even when every individual use looks fine.
 func (t *leaseTracker) goStmt(nd *ast.GoStmt, s flow.State, report bool) {
 	t.checkUses(nd.Call, s, report)
@@ -507,7 +450,7 @@ func (t *leaseTracker) goStmt(nd *ast.GoStmt, s flow.State, report bool) {
 		if obj.Pos() >= nd.Pos() && obj.Pos() < nd.End() {
 			return
 		}
-		t.p.Reportf(id.Pos(), "goroutine capture: buffer %s is %s a spawned goroutine, which can outlive the Put/Sync that reclaims it; hand the goroutine its own copy", id.Name, how)
+		t.p.Reportf(id.Pos(), "goroutine capture: buffer %s is %s a spawned goroutine, which can outlive the Sync that reclaims it; hand the goroutine its own copy", id.Name, how)
 	}
 	if lit, ok := ast.Unparen(nd.Call.Fun).(*ast.FuncLit); ok {
 		ast.Inspect(lit.Body, func(m ast.Node) bool {

@@ -38,12 +38,11 @@
 //
 //   - buflease: the flow-sensitive buffer-ownership check. Built on the
 //     intra-procedural CFG and forward-dataflow engine in the flow
-//     subpackage, it tracks sim.BufferPool leases, bsplib PayloadBuf
-//     leases, and delivery views through branches, loops, defers, and
-//     one-level call summaries, and reports use-after-Put, double Put,
-//     manual Put of engine-managed buffers, cross-Sync retention of
-//     superstep-scoped buffers, lease escapes to fields/globals/
-//     containers, and goroutine captures (DESIGN.md §11).
+//     subpackage, it tracks bsplib PayloadBuf leases and delivery views
+//     through branches, loops, defers, and one-level call summaries, and
+//     reports cross-Sync retention of superstep-scoped buffers, lease
+//     escapes to fields/globals/containers, and goroutine captures
+//     (DESIGN.md §11).
 //
 // # Suppression
 //

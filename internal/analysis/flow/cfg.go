@@ -12,8 +12,8 @@
 // exits (return, panic) are modeled individually; deferred calls are
 // attached to the function's single Exit block in LIFO order, which is
 // exactly the approximation a lifetime analysis wants: a deferred
-// pool.Put(b) releases b on every path out of the function, after every
-// ordinary use.
+// ctx.Sync() ends the superstep on every path out of the function, after
+// every ordinary use.
 package flow
 
 import (

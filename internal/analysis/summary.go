@@ -9,26 +9,24 @@ import (
 // the buffer-lifetime effects a call has on its arguments and its caller's
 // superstep, recovered syntactically from the function body. Summaries let
 // facts propagate one level across calls without a full interprocedural
-// analysis: a helper that Puts its parameter releases the caller's buffer,
-// a helper that calls Sync ends the caller's superstep (killing PayloadBuf
-// leases and delivery views), and a helper that returns a fresh pool buffer
-// hands its caller a lease.
+// analysis: a helper that calls Sync ends the caller's superstep (killing
+// PayloadBuf leases and delivery views), a helper that stores its
+// parameter lets the caller's lease escape, and a helper that returns a
+// fresh PayloadBuf lease hands its caller a lease.
 type leaseSummary struct {
 	// syncs: the body directly calls Context.Sync, Context.Flush, or the
 	// internal Context.step, so the caller crosses a superstep boundary.
 	syncs bool
-	// putsParams: parameter indices the body returns to a sim.BufferPool.
-	putsParams map[int]bool
 	// storesParams: parameter indices the body stores into a struct field,
 	// package variable, or through a pointer - the argument escapes the call.
 	storesParams map[int]bool
 	// returnsLease: a single-result body whose return value is a fresh
-	// pool.Get/GetNoClear/PayloadBuf buffer.
+	// PayloadBuf lease.
 	returnsLease bool
 }
 
 func (s *leaseSummary) empty() bool {
-	return !s.syncs && !s.returnsLease && len(s.putsParams) == 0 && len(s.storesParams) == 0
+	return !s.syncs && !s.returnsLease && len(s.storesParams) == 0
 }
 
 // LeaseSummaries builds (once per World) the call summaries for every
@@ -43,7 +41,6 @@ func (w *World) LeaseSummaries() map[*types.Func]*leaseSummary {
 
 func buildLeaseSummaries(w *World) map[*types.Func]*leaseSummary {
 	out := make(map[*types.Func]*leaseSummary)
-	simPath := w.SimPath()
 	bsplibPath := w.ModulePath + "/internal/bsplib"
 	for _, pkg := range w.modulePkgs {
 		for _, file := range pkg.Files {
@@ -56,7 +53,7 @@ func buildLeaseSummaries(w *World) map[*types.Func]*leaseSummary {
 				if !ok {
 					continue
 				}
-				if sum := summarizeFunc(pkg, fd, simPath, bsplibPath); !sum.empty() {
+				if sum := summarizeFunc(pkg, fd, bsplibPath); !sum.empty() {
 					out[fn] = sum
 				}
 			}
@@ -65,8 +62,8 @@ func buildLeaseSummaries(w *World) map[*types.Func]*leaseSummary {
 	return out
 }
 
-func summarizeFunc(pkg *Package, decl *ast.FuncDecl, simPath, bsplibPath string) *leaseSummary {
-	sum := &leaseSummary{putsParams: make(map[int]bool), storesParams: make(map[int]bool)}
+func summarizeFunc(pkg *Package, decl *ast.FuncDecl, bsplibPath string) *leaseSummary {
+	sum := &leaseSummary{storesParams: make(map[int]bool)}
 	params := make(map[types.Object]int)
 	idx := 0
 	if decl.Type.Params != nil {
@@ -83,14 +80,6 @@ func summarizeFunc(pkg *Package, decl *ast.FuncDecl, simPath, bsplibPath string)
 			}
 		}
 	}
-	paramIndex := func(e ast.Expr) (int, bool) {
-		id, ok := ast.Unparen(e).(*ast.Ident)
-		if !ok {
-			return 0, false
-		}
-		i, ok := params[pkg.Info.Uses[id]]
-		return i, ok
-	}
 	ast.Inspect(decl.Body, func(n ast.Node) bool {
 		switch nd := n.(type) {
 		case *ast.FuncLit:
@@ -101,11 +90,6 @@ func summarizeFunc(pkg *Package, decl *ast.FuncDecl, simPath, bsplibPath string)
 			switch contextMethodName(pkg.Info, nd, bsplibPath) {
 			case "Sync", "Flush", "step":
 				sum.syncs = true
-			}
-			if poolMethodName(pkg.Info, nd, simPath) == "Put" && len(nd.Args) == 1 {
-				if i, ok := paramIndex(nd.Args[0]); ok {
-					sum.putsParams[i] = true
-				}
 			}
 		case *ast.AssignStmt:
 			for i, lhs := range nd.Lhs {
@@ -124,7 +108,7 @@ func summarizeFunc(pkg *Package, decl *ast.FuncDecl, simPath, bsplibPath string)
 			}
 		case *ast.ReturnStmt:
 			if len(nd.Results) == 1 {
-				if call, ok := ast.Unparen(nd.Results[0]).(*ast.CallExpr); ok && producesLease(pkg.Info, call, simPath, bsplibPath) {
+				if call, ok := ast.Unparen(nd.Results[0]).(*ast.CallExpr); ok && contextMethodName(pkg.Info, call, bsplibPath) == "PayloadBuf" {
 					sum.returnsLease = true
 				}
 			}
@@ -222,19 +206,9 @@ func appendRetainsArgs(info *types.Info, call *ast.CallExpr) bool {
 
 // --- shared classification of the lease-bearing APIs ---
 
-// poolMethodName returns the sim.BufferPool method this call invokes
-// ("Get", "GetNoClear", "Put", ...) or "" when it is not one.
-func poolMethodName(info *types.Info, call *ast.CallExpr, simPath string) string {
-	return methodOn(info, call, simPath, "BufferPool")
-}
-
 // contextMethodName returns the bsplib.Context method this call invokes or
 // "" when it is not one.
 func contextMethodName(info *types.Info, call *ast.CallExpr, bsplibPath string) string {
-	return methodOn(info, call, bsplibPath, "Context")
-}
-
-func methodOn(info *types.Info, call *ast.CallExpr, pkgPath, typeName string) string {
 	fn, ok := calleeObject(info, call).(*types.Func)
 	if !ok {
 		return ""
@@ -244,18 +218,8 @@ func methodOn(info *types.Info, call *ast.CallExpr, pkgPath, typeName string) st
 		return ""
 	}
 	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != pkgPath || obj.Name() != typeName {
+	if obj.Pkg() == nil || obj.Pkg().Path() != bsplibPath || obj.Name() != "Context" {
 		return ""
 	}
 	return fn.Name()
-}
-
-// producesLease reports whether the call hands its caller a freshly leased
-// buffer: pool.Get/GetNoClear or Context.PayloadBuf.
-func producesLease(info *types.Info, call *ast.CallExpr, simPath, bsplibPath string) bool {
-	switch poolMethodName(info, call, simPath) {
-	case "Get", "GetNoClear":
-		return true
-	}
-	return contextMethodName(info, call, bsplibPath) == "PayloadBuf"
 }

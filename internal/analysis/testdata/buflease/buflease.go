@@ -1,12 +1,11 @@
 // Package buflease is a qpvet golden-file fixture for the buffer-lease
-// lifetime analyzer: every way a pool lease or superstep-scoped buffer can
-// outlive its owner, next to the clean patterns the zero-copy pipeline
+// lifetime analyzer: every way a PayloadBuf lease or delivery view can
+// outlive its superstep, next to the clean patterns the zero-copy pipeline
 // actually uses.
 package buflease
 
 import (
 	"quantpar/internal/bsplib"
-	"quantpar/internal/sim"
 )
 
 func sink(b []byte) int { return len(b) }
@@ -18,107 +17,61 @@ type holder struct {
 
 var global []byte
 
-// --- use after Put / double Put ---
-
-func useAfterPut(p *sim.BufferPool) int {
-	b := p.Get(64)
-	p.Put(b)
-	return sink(b) // want "use after Put"
-}
-
-func doublePut(p *sim.BufferPool) {
-	b := p.GetNoClear(64)
-	p.Put(b)
-	p.Put(b) // want "double Put"
-}
-
-func putInLoop(p *sim.BufferPool, n int) {
-	b := p.Get(64)
-	for i := 0; i < n; i++ {
-		p.Put(b) // want "double Put"
-	}
-}
-
-func branchJoinUse(p *sim.BufferPool, c bool) int {
-	b := p.Get(64)
-	if c {
-		p.Put(b)
-	}
-	return sink(b) // want "use after Put"
-}
-
-// Reacquiring revives the variable: no finding.
-func reuseAfterReacquire(p *sim.BufferPool) int {
-	b := p.Get(64)
-	p.Put(b)
-	b = p.Get(128)
-	n := sink(b)
-	p.Put(b)
-	return n
-}
-
-// A deferred Put releases at function exit, after every ordinary use.
-func deferPut(p *sim.BufferPool) int {
-	b := p.Get(64)
-	defer p.Put(b)
-	return sink(b)
-}
-
 // --- leases escaping the owning frame ---
 
-func fieldEscape(p *sim.BufferPool, h *holder) {
-	b := p.Get(64)
+func fieldEscape(ctx *bsplib.Context, h *holder) {
+	b := ctx.PayloadBuf(64)
 	h.buf = b // want "field or qualified variable"
 }
 
-func globalEscape(p *sim.BufferPool) {
-	b := p.GetNoClear(32)
+func globalEscape(ctx *bsplib.Context) {
+	b := ctx.PayloadBuf(32)
 	global = b // want "package-level variable"
 }
 
-func fieldElemEscape(p *sim.BufferPool, h *holder) {
-	h.all[0] = p.Get(16) // want "element of field"
+func fieldElemEscape(ctx *bsplib.Context, h *holder) {
+	h.all[0] = ctx.PayloadBuf(16) // want "element of field"
 }
 
-func fieldAppendEscape(p *sim.BufferPool, h *holder) {
-	b := p.Get(16)
+func fieldAppendEscape(ctx *bsplib.Context, h *holder) {
+	b := ctx.PayloadBuf(16)
 	h.all = append(h.all, b) // want "field or qualified variable"
 }
 
-func containerEscape(p *sim.BufferPool, h *holder) {
-	batch := [][]byte{p.Get(8)}
+func containerEscape(ctx *bsplib.Context, h *holder) {
+	batch := [][]byte{ctx.PayloadBuf(8)}
 	h.all = batch // want "field or qualified variable"
 }
 
-func pointerEscape(p *sim.BufferPool, out *[]byte) {
-	*out = p.Get(64) // want "through a pointer"
+func pointerEscape(ctx *bsplib.Context, out *[]byte) {
+	*out = ctx.PayloadBuf(64) // want "through a pointer"
 }
 
 // Leases may move through local containers freely.
-func localContainer(p *sim.BufferPool) {
+func localContainer(ctx *bsplib.Context) {
 	var batch [][]byte
 	for i := 0; i < 4; i++ {
-		batch = append(batch, p.Get(8))
+		batch = append(batch, ctx.PayloadBuf(8))
 	}
 	for _, b := range batch {
-		p.Put(b)
+		ctx.Send(0, 0, b)
 	}
 }
 
 // --- goroutine captures ---
 
-func goroutineCapture(p *sim.BufferPool) {
-	b := p.Get(64)
+func goroutineCapture(ctx *bsplib.Context) {
+	b := ctx.PayloadBuf(64)
 	go func() {
 		sink(b) // want "goroutine capture"
 	}()
-	p.Put(b)
+	ctx.Sync()
 }
 
-func goroutineArg(p *sim.BufferPool) {
-	b := p.Get(64)
+func goroutineArg(ctx *bsplib.Context) {
+	b := ctx.PayloadBuf(64)
 	go sink(b) // want "goroutine capture"
-	p.Put(b)
+	ctx.Sync()
 }
 
 // --- superstep-scoped values across Sync ---
@@ -152,11 +105,6 @@ func msgPayloadAcrossSync(ctx *bsplib.Context) []byte {
 	return keep // want "cross-Sync retention"
 }
 
-func manualPutOfView(ctx *bsplib.Context, p *sim.BufferPool) {
-	buf := ctx.PayloadBuf(32)
-	p.Put(buf) // want "manual Put"
-}
-
 // The whole point of the delivery arena: views are free to use inside the
 // superstep that received them.
 func viewWithinStep(ctx *bsplib.Context) int {
@@ -169,16 +117,6 @@ func viewWithinStep(ctx *bsplib.Context) int {
 }
 
 // --- facts crossing one call level via summaries ---
-
-func release(p *sim.BufferPool, b []byte) {
-	p.Put(b)
-}
-
-func summaryPut(p *sim.BufferPool) int {
-	b := p.Get(64)
-	release(p, b)
-	return sink(b) // want "use after Put"
-}
 
 func barrier(ctx *bsplib.Context) {
 	ctx.Sync()
@@ -195,16 +133,16 @@ func stash(h *holder, b []byte) {
 	h.buf = b
 }
 
-func summaryStore(p *sim.BufferPool, h *holder) {
-	b := p.Get(64)
+func summaryStore(ctx *bsplib.Context, h *holder) {
+	b := ctx.PayloadBuf(64)
 	stash(h, b) // want "beyond the call frame"
-	p.Put(b)
+	ctx.Sync()
 }
 
-func acquire(p *sim.BufferPool) []byte {
-	return p.Get(256)
+func acquire(ctx *bsplib.Context) []byte {
+	return ctx.PayloadBuf(256)
 }
 
-func summaryReturnEscape(p *sim.BufferPool) {
-	global = acquire(p) // want "package-level variable"
+func summaryReturnEscape(ctx *bsplib.Context) {
+	global = acquire(ctx) // want "package-level variable"
 }

@@ -116,15 +116,13 @@ type engine struct {
 	outboxes  [][]outMsg
 	inboxes   [][]comm.Msg
 
-	// Delivery buffers. Every payload is copied into a pooled engine-owned
-	// buffer at delivery time; the buffers of step k are released back to
-	// the pool during the delivery of step k+1, when no receiver can still
-	// legitimately hold a view (Recv slices are valid only until the next
-	// synchronization). Only the engine goroutine touches the pool, so
-	// buffer identity is deterministic.
-	pool          sim.BufferPool
-	delivered     [][]byte // buffers handed out in the current step's inboxes
-	prevDelivered [][]byte // previous step's buffers, released at next delivery
+	// Delivery arenas, used in turn: step k's payloads are copied into
+	// arenas[cur] and stay intact while step k+1's are copied into the
+	// other one, so a program may forward a received slice verbatim. No
+	// receiver holds a view of step k past step k+1's synchronization
+	// (Recv slices are valid only until the next one).
+	arenas [2][]byte
+	cur    int
 
 	// Step-building scratch, reused across supersteps so that steady-state
 	// routing performs no per-step allocation.
@@ -198,7 +196,6 @@ func Run(m *machine.Machine, prog Program, opt Options) (*RunResult, error) {
 			// Seed the send-side scratch so typical first supersteps
 			// skip the append-doubling allocations.
 			outbox: make([]outMsg, 0, 16),
-			leased: make([][]byte, 0, 4),
 		}).run(prog)
 	}
 	// One wake-up per step: the last processor to file wakes the engine,
@@ -637,55 +634,37 @@ func (e *engine) priceStep(step *comm.Step, repeat int) sim.Time {
 // order (by source, then send order), replacing the previous step's
 // deliveries.
 //
-// Every payload is copied into an engine-owned pooled buffer, so receivers
+// Every payload is copied into the engine's delivery arena, so receivers
 // never alias sender memory: a sender regains ownership of its buffer the
 // moment its synchronization returns, and mutating it cannot corrupt what
-// was delivered. The previous step's delivery buffers are released to the
-// pool only AFTER the copies - a program may forward a received slice
-// verbatim, so its bytes must stay intact until they have been copied out.
+// was delivered. Each inbox entry is a capacity-capped sub-slice of the
+// arena, so one step costs at most one allocation, not one per message.
 func (e *engine) deliver() {
 	for p := 0; p < e.n; p++ {
 		e.inboxes[p] = e.inboxes[p][:0]
 	}
-	// All payloads of one delivery step share a single pooled arena buffer:
-	// each inbox entry is a sub-slice of it. One Get/Put per step instead of
-	// one per message keeps the pool traffic (and the cold-start allocation
-	// count of short runs) proportional to supersteps, not messages.
 	total := 0
 	for src := 0; src < e.n; src++ {
 		for _, m := range e.outboxes[src] {
 			total += len(m.payload)
 		}
 	}
-	delivered := e.delivered[:0]
-	if total > 0 {
-		arena := e.pool.GetNoClear(total)
-		delivered = append(delivered, arena)
-		off := 0
-		for src := 0; src < e.n; src++ {
-			for _, m := range e.outboxes[src] {
-				buf := arena[off : off+len(m.payload) : off+len(m.payload)]
-				off += len(m.payload)
-				copy(buf, m.payload)
-				//qpvet:ignore buflease -- delivery registry: arena sub-slice views are handed out via Recv and retired through prevDelivered next step
-				e.inboxes[m.dst] = append(e.inboxes[m.dst], comm.Msg{
-					Src: src, Dst: m.dst, Tag: m.tag, Bytes: len(buf), Payload: buf,
-				})
-			}
-			e.outboxes[src] = nil
-		}
-	} else {
-		for src := 0; src < e.n; src++ {
-			e.outboxes[src] = nil
-		}
+	e.cur ^= 1
+	arena := e.arenas[e.cur]
+	if cap(arena) < total {
+		arena = make([]byte, total)
+		e.arenas[e.cur] = arena
 	}
-	// Retire the previous step's arena; no Recv view of it is valid past
-	// the synchronization that just completed.
-	for i, b := range e.prevDelivered {
-		e.pool.Put(b)
-		e.prevDelivered[i] = nil
+	off := 0
+	for src := 0; src < e.n; src++ {
+		for _, m := range e.outboxes[src] {
+			buf := arena[off : off+len(m.payload) : off+len(m.payload)]
+			off += len(m.payload)
+			copy(buf, m.payload)
+			e.inboxes[m.dst] = append(e.inboxes[m.dst], comm.Msg{
+				Src: src, Dst: m.dst, Tag: m.tag, Bytes: len(buf), Payload: buf,
+			})
+		}
+		e.outboxes[src] = nil
 	}
-	e.delivered = e.prevDelivered[:0]
-	//qpvet:ignore buflease -- the engine keeps the arena exactly one extra step so Recv views stay valid; it is retired above on the next delivery
-	e.prevDelivered = delivered
 }

@@ -19,14 +19,10 @@ type Context struct {
 	compute sim.Time
 	outbox  []outMsg
 
-	// pool recycles send-side payload buffers handed out by PayloadBuf;
-	// leased tracks the buffers currently on loan, released back to the
-	// pool after each synchronization (the engine copies every payload
-	// into its own delivery buffers during routing). The pool is private
-	// to this processor's goroutine, so buffer identity never depends on
-	// cross-goroutine scheduling.
-	pool   sim.BufferPool
-	leased [][]byte
+	// lease is the arena PayloadBuf carves send-side payload buffers
+	// from. step empties it after each synchronization: the engine has
+	// copied every payload into its own delivery arena by then.
+	lease []byte
 }
 
 // ID returns this processor's index in [0, P).
@@ -62,16 +58,20 @@ func (c *Context) ChargeOps(n int) {
 }
 
 // PayloadBuf returns an n-byte scratch buffer for building an outgoing
-// payload, drawn from this processor's private buffer pool. The buffer is
+// payload, carved from this processor's private lease arena. The buffer is
 // on loan until this processor's next Sync/Flush, after which it is
 // recycled; encode into it, Send it, and never retain it across the
 // synchronization. Contents are uninitialized - callers are expected to
 // overwrite every byte (wire.Append* encoders into buf[:0] do).
 func (c *Context) PayloadBuf(n int) []byte {
-	b := c.pool.GetNoClear(n)
-	//qpvet:ignore buflease -- c.leased is the step's lease registry: step() returns every entry to the pool at the next Sync/Flush
-	c.leased = append(c.leased, b)
-	return b
+	if cap(c.lease)-len(c.lease) < n {
+		// Earlier leases of this step keep the old backing alive.
+		c.lease = make([]byte, 0, max(2*cap(c.lease), n))
+	}
+	l := len(c.lease)
+	c.lease = c.lease[:l+n]
+	// Capacity-capped, so an append cannot reach the next lease.
+	return c.lease[l : l+n : l+n]
 }
 
 // Send queues one block message to dst.
@@ -139,19 +139,15 @@ func (c *Context) step(barrier bool) {
 	c.outbox = nil
 	c.e.sync(c.id, slot{outbox: out, compute: c.compute, barrier: barrier})
 	c.compute = 0
-	// The engine copied every payload into its own delivery buffers before
-	// sync returned, so the outbox backing and all leased payload buffers
-	// are this processor's again: clear the payload references and recycle
-	// both, making the steady-state send path allocation-free.
+	// The engine copied every payload into its own delivery arena before
+	// sync returned, so the outbox backing and the lease arena are this
+	// processor's again: clear the payload references and recycle both,
+	// making the steady-state send path allocation-free.
 	for i := range out {
 		out[i] = outMsg{}
 	}
 	c.outbox = out[:0]
-	for i, b := range c.leased {
-		c.pool.Put(b)
-		c.leased[i] = nil
-	}
-	c.leased = c.leased[:0]
+	c.lease = c.lease[:0]
 }
 
 // Recv returns the payloads of all messages with the given tag delivered at

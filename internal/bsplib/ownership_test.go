@@ -80,6 +80,34 @@ func TestPayloadBufRecyclingPreservesDeliveries(t *testing.T) {
 	}
 }
 
+// TestPayloadBufLeasesDoNotOverlap takes two small leases from an arena
+// with room to spare and appends to the first: the append must not run
+// into the second lease, which is carved from the same backing.
+func TestPayloadBufLeasesDoNotOverlap(t *testing.T) {
+	r := &fakeRouter{procs: 2, base: 1, msgCost: 1}
+	m := fakeMachine(2, false, r)
+	_, err := Run(m, func(ctx *Context) {
+		if ctx.ID() == 0 {
+			ctx.PayloadBuf(64) // leaves the arena 64 bytes of room
+		}
+		ctx.Sync()
+		if ctx.ID() == 0 {
+			a, b := ctx.PayloadBuf(4), ctx.PayloadBuf(4)
+			copy(b, "BBBB")
+			copy(a, "aaaa")
+			a = append(a, "AAAA"...)
+			if string(b) != "BBBB" {
+				t.Errorf("second lease = %q after appending to the first, want BBBB", b)
+			}
+			ctx.Send(1, 1, a)
+		}
+		ctx.Sync()
+	}, Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestForwardingReceivedPayload forwards a received slice verbatim in the
 // next step. The delivery machinery must copy new payloads out before
 // releasing the previous step's buffers, so forwarding an engine-owned view

@@ -21,16 +21,13 @@ func TestAppendMatchesLegacy(t *testing.T) {
 		withPrefix := AppendUint32s(append([]byte(nil), prefix...), xs)
 		return bytes.Equal(withPrefix[len(prefix):], legacy)
 	}
-	i32 := func(xs []int32) bool {
-		return bytes.Equal(AppendInt32s(nil, xs), PutInt32s(xs))
-	}
 	f32 := func(xs []float32) bool {
 		return bytes.Equal(AppendFloat32s(nil, xs), PutFloat32s(xs))
 	}
 	f64 := func(xs []float64) bool {
 		return bytes.Equal(AppendFloat64s(nil, xs), PutFloat64s(xs))
 	}
-	for name, f := range map[string]any{"uint32": u32, "int32": i32, "float32": f32, "float64": f64} {
+	for name, f := range map[string]any{"uint32": u32, "float32": f32, "float64": f64} {
 		if err := quick.Check(f, nil); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
@@ -120,9 +117,6 @@ func FuzzWireRoundTrip(f *testing.F) {
 
 		if got := AppendUint32s(encScratch[:0], Uint32sInto(nil, b)); !bytes.Equal(got, b) {
 			t.Fatalf("uint32 round trip: %x != %x", got, b)
-		}
-		if got := AppendInt32s(nil, Int32s(b)); !bytes.Equal(got, b) {
-			t.Fatalf("int32 round trip: %x != %x", got, b)
 		}
 		if got := AppendFloat32s(nil, Float32sInto(nil, b)); !bytes.Equal(got, b) {
 			t.Fatalf("float32 round trip: %x != %x", got, b)

@@ -112,34 +112,6 @@ func Float32s(b []byte) []float32 {
 	return Float32sInto(nil, b)
 }
 
-// AppendInt32s appends xs to dst as little-endian 32-bit words.
-func AppendInt32s(dst []byte, xs []int32) []byte {
-	for _, x := range xs {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(x))
-	}
-	return dst
-}
-
-// Int32sInto decodes a payload written by AppendInt32s into dst.
-func Int32sInto(dst []int32, b []byte) []int32 {
-	n := wordCount(b, 4, "int32")
-	dst = growI32(dst, n)
-	for i := 0; i < n; i++ {
-		dst[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return dst
-}
-
-// PutInt32s encodes xs as consecutive little-endian 32-bit words.
-func PutInt32s(xs []int32) []byte {
-	return AppendInt32s(make([]byte, 0, 4*len(xs)), xs)
-}
-
-// Int32s decodes a payload written by PutInt32s.
-func Int32s(b []byte) []int32 {
-	return Int32sInto(nil, b)
-}
-
 // wordCount validates framing and returns the number of whole words in b.
 func wordCount(b []byte, word int, kind string) int {
 	if len(b)%word != 0 {
@@ -169,13 +141,6 @@ func growF64(dst []float64, n int) []float64 {
 func growF32(dst []float32, n int) []float32 {
 	if cap(dst) < n {
 		return make([]float32, n)
-	}
-	return dst[:n]
-}
-
-func growI32(dst []int32, n int) []int32 {
-	if cap(dst) < n {
-		return make([]int32, n)
 	}
 	return dst[:n]
 }

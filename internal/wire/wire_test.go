@@ -25,24 +25,6 @@ func TestUint32sRoundTrip(t *testing.T) {
 	}
 }
 
-func TestInt32sRoundTrip(t *testing.T) {
-	f := func(xs []int32) bool {
-		got := Int32s(PutInt32s(xs))
-		if len(got) != len(xs) {
-			return false
-		}
-		for i := range xs {
-			if got[i] != xs[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestFloat64sRoundTrip(t *testing.T) {
 	f := func(xs []float64) bool {
 		got := Float64s(PutFloat64s(xs))
@@ -92,7 +74,6 @@ func TestByteLengths(t *testing.T) {
 func TestRaggedPayloadsPanic(t *testing.T) {
 	cases := []func(){
 		func() { Uint32s(make([]byte, 5)) },
-		func() { Int32s(make([]byte, 3)) },
 		func() { Float32s(make([]byte, 7)) },
 		func() { Float64s(make([]byte, 9)) },
 	}
