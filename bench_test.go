@@ -247,35 +247,7 @@ func BenchmarkAblationMasParWaves(b *testing.B) {
 	})
 }
 
-// --- event-kernel and sweep-engine benchmarks ---
-
-// eventQueueWorkload is the steady-state shape the routers produce: a
-// standing population of pending events with interleaved pushes and pops.
-const eventQueuePopulation = 1024
-
-func BenchmarkEventQueue(b *testing.B) {
-	times := make([]sim.Time, 4*eventQueuePopulation)
-	rng := sim.NewRNG(11)
-	for i := range times {
-		times[i] = sim.Time(rng.Float64() * 1e6)
-	}
-
-	b.Run("inlined-4ary-heap", func(b *testing.B) {
-		b.ReportAllocs()
-		var q sim.EventQueue
-		for i := 0; i < eventQueuePopulation; i++ {
-			q.Push(sim.Event{At: times[i%len(times)]})
-		}
-		b.ResetTimer()
-		// Pop-then-reschedule keeps simulated time monotone, as the real
-		// engines do (EventQueue rejects pushes before the last pop).
-		for i := 0; i < b.N; i++ {
-			e := q.Pop()
-			e.At += times[i%len(times)]
-			q.Push(e)
-		}
-	})
-}
+// --- sweep-engine benchmarks ---
 
 // BenchmarkParallelSweep runs the Fig 1 calibration grid (the tentpole
 // workload of the parsweep engine) serially and with four workers. The two

@@ -17,7 +17,10 @@
 #      byte-identical twin runs and structured errors for partitions,
 #      exhausted retry budgets, and livelocks (internal/netsim), and the
 #      fault-disabled hot path still prices steps with zero allocations
-#      per Route call (BenchmarkRouterSteadyState asserts this);
+#      per Route call (BenchmarkRouterSteadyState asserts this); and the
+#      engines' event queue survives 10 s of fuzzing against its order
+#      model (FuzzEventQueue; a failure writes its reproducer under
+#      internal/sim/testdata/fuzz);
 #   6. every examples/*/ program runs to a zero exit status: go build only
 #      compiles them, so this catches runtime failures in the library
 #      facade and in backends.CustomMesh;
@@ -88,9 +91,10 @@ go test -race -count=10 ./internal/bsplib/
 stage "qpvet ./..."
 go run ./cmd/qpvet ./...
 
-stage "fault-injection conformance gate"
+stage "fault-injection conformance and engine gate"
 go test -run 'TestFaultProtocolConformance|TestFaultPartitionIsStructured' ./internal/netsim/
 go test -run '^$' -bench BenchmarkRouterSteadyState -benchtime 1x ./internal/netsim/
+go test -run '^$' -fuzz '^FuzzEventQueue$' -fuzztime 10s ./internal/sim
 
 stage "examples run"
 examples_bin=$(mktemp -d)

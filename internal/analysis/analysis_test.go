@@ -189,7 +189,7 @@ func TestTimeObjsCollected(t *testing.T) {
 	for obj := range w.TimeObjs {
 		names[obj.Name()] = true
 	}
-	for _, wantName := range []string{"At", "floor"} {
+	for _, wantName := range []string{"At", "progressAt"} {
 		if !names[wantName] {
 			t.Errorf("TimeObjs missing %q; have %v", wantName, keys(names))
 		}

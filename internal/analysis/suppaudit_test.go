@@ -52,15 +52,13 @@ func TestSuppAudit(t *testing.T) {
 	}
 }
 
-// TestLegacySuppressionsStillLive pins the two oldest in-tree directives:
-// the simtime tie-break comparison in sim/events.go and the cross-step RNG
-// stream in calibrate/measure.go. They must still exist, and the module-wide
-// audit in TestRepoIsClean proves they still suppress something; this test
-// fails loudly if someone deletes the code but leaves (or moves) the
-// directive.
+// TestLegacySuppressionsStillLive pins the oldest in-tree directive: the
+// cross-step RNG stream in calibrate/measure.go. It must still exist, and
+// the module-wide audit in TestRepoIsClean proves it still suppresses
+// something; this test fails loudly if someone deletes the code but leaves
+// (or moves) the directive.
 func TestLegacySuppressionsStillLive(t *testing.T) {
 	legacy := []struct{ file, check string }{
-		{"../sim/events.go", "simtime"},
 		{"../calibrate/measure.go", "rngstream"},
 	}
 	for _, l := range legacy {
@@ -78,9 +76,9 @@ func TestLegacySuppressionsStillLive(t *testing.T) {
 			t.Errorf("%s: expected a //qpvet:ignore %s directive", l.file, l.check)
 		}
 	}
-	// And the audit agrees they are live: a full-module run reports no
-	// stale directive in either file.
-	w, err := Load("../..", []string{"./internal/sim", "./internal/calibrate"})
+	// And the audit agrees it is live: the package reports no stale
+	// directive.
+	w, err := Load("../..", []string{"./internal/calibrate"})
 	if err != nil {
 		t.Fatalf("loading packages: %v", err)
 	}

@@ -56,10 +56,9 @@ type Active struct {
 
 	// Per-Route scratch, reset at the top of every Route call.
 	procs    []amProcState
-	inflight []int       // messages bound for each destination, injected but unserviced
-	waiters  [][]int     // processors stalled on each destination's window
-	finish   []sim.Time  // result buffer; see comm.Result.Finish ownership note
-	seed     []sim.Event // initial processor-ready batch, reused across calls
+	inflight []int      // messages bound for each destination, injected but unserviced
+	waiters  [][]int    // processors stalled on each destination's window
+	finish   []sim.Time // result buffer; see comm.Result.Finish ownership note
 	q        sim.EventQueue
 
 	wd sim.Watchdog // livelock guard over the event loop
@@ -102,25 +101,21 @@ const (
 )
 
 type amProcState struct {
-	sends     []comm.Msg
-	sendIdx   int
-	pending   sim.Heap4[amArrival] // arrived, unserviced messages
-	expected  int                  // total messages this processor must receive
+	sends   []comm.Msg
+	sendIdx int
+	// pending holds the arrived, unserviced messages from index head on.
+	// Arrivals are appended when the event queue pops them, so the list is
+	// in time order with ties first-in first-out: its front is always the
+	// earliest arrival.
+	pending   []sim.Event
+	head      int
+	expected  int // total messages this processor must receive
 	received  int
 	done      bool
 	doneAt    sim.Time
 	sleeping  bool // waiting for an arrival or a window slot
 	waitingOn int  // destination whose window this proc waits for, or -1
 }
-
-type amArrival struct {
-	at    sim.Time
-	bytes int
-}
-
-// Before orders pending arrivals by arrival time; sim.Heap4 breaks exact
-// ties FIFO, so servicing order is deterministic.
-func (a amArrival) Before(b amArrival) bool { return a.at < b.at }
 
 // Route prices one communication step under the coupled sender-stall model.
 func (n *Active) Route(step *comm.Step, rng *sim.RNG) comm.Result {
@@ -131,10 +126,11 @@ func (n *Active) Route(step *comm.Step, rng *sim.RNG) comm.Result {
 	stats := comm.Stats{}
 
 	procs, inflight, waiters := n.procs, n.inflight, n.waiters
-	n.q.Reset()
+	q := &n.q
+	q.Reset()
+	q.Label = n.wd.Label
 	for i := range procs {
-		procs[i] = amProcState{sends: step.Sends[i], waitingOn: -1, pending: procs[i].pending}
-		procs[i].pending.Reset()
+		procs[i] = amProcState{sends: step.Sends[i], waitingOn: -1, pending: procs[i].pending[:0]}
 		inflight[i] = 0
 		waiters[i] = waiters[i][:0]
 	}
@@ -148,21 +144,13 @@ func (n *Active) Route(step *comm.Step, rng *sim.RNG) comm.Result {
 		}
 	}
 
-	// Seed the queue with one processor-ready event per processor in a
-	// single batch: a bulk heapify instead of P sift-ups, and one Reserve
-	// sized for the common two-events-per-send working set.
-	q := &n.q
-	q.Reserve(p + 2*stats.Msgs)
-	seed := n.seed[:0]
 	for i := 0; i < p; i++ {
 		at := sim.Time(0)
 		if step.Offsets != nil {
 			at = step.Offsets[i]
 		}
-		seed = append(seed, sim.Event{At: at, Kind: evProcReady, Who: i})
+		q.Push(sim.Event{At: at, Kind: evProcReady, Who: int32(i)})
 	}
-	n.seed = seed
-	q.PushBatch(seed)
 
 	n.wd.Reset()
 	events := 0
@@ -173,11 +161,18 @@ func (n *Active) Route(step *comm.Step, rng *sim.RNG) comm.Result {
 		ps := &procs[e.Who]
 		switch e.Kind {
 		case evArrival:
-			// The arrival payload travels in the event's integer Aux slot
-			// (byte count; the arrival time is the event time), not in the
-			// any-typed Data field - boxing a struct into Data costs one
-			// heap allocation per message.
-			ps.pending.Push(amArrival{at: e.At, bytes: e.Aux})
+			// The byte count travels in the event's Aux slot.
+			if k := len(ps.pending); k > 0 && ps.pending[k-1].At > e.At {
+				panic(fmt.Sprintf("netsim: %s: processor %d: arrival at t=%gus queued behind one at t=%gus",
+					n.wd.Label, e.Who, e.At, ps.pending[k-1].At))
+			}
+			if len(ps.pending) == cap(ps.pending) && ps.head > 0 {
+				// Full but partly serviced: reuse the serviced prefix
+				// rather than grow with every message of a busy receiver.
+				ps.pending = ps.pending[:copy(ps.pending, ps.pending[ps.head:])]
+				ps.head = 0
+			}
+			ps.pending = append(ps.pending, e)
 			if ps.sleeping {
 				ps.sleeping = false
 				ps.waitingOn = -1
@@ -187,7 +182,7 @@ func (n *Active) Route(step *comm.Step, rng *sim.RNG) comm.Result {
 			if ps.done {
 				break
 			}
-			n.act(e.Who, e.At, ps, procs, inflight, waiters, q, rng, &stats)
+			n.act(int(e.Who), e.At, ps, procs, inflight, waiters, q, rng, &stats)
 		}
 	}
 
@@ -227,7 +222,7 @@ func (n *Active) act(who int, t sim.Time, ps *amProcState, procs []amProcState,
 			// receive handler.
 			ps.sendIdx++
 			busy := jittered(n.cfg.Jitter, float64(m.Bytes)*n.cfg.CSendByte, rng)
-			q.Push(sim.Event{At: t + busy, Kind: evProcReady, Who: who})
+			q.Push(sim.Event{At: t + busy, Kind: evProcReady, Who: int32(who)})
 			return
 		}
 		if inflight[m.Dst] < n.cfg.Window {
@@ -236,13 +231,13 @@ func (n *Active) act(who int, t sim.Time, ps *amProcState, procs []amProcState,
 			busy := jittered(n.cfg.Jitter, n.cfg.SendCost(m.Bytes), rng)
 			inflight[m.Dst]++
 			arriveAt := t + busy + n.cfg.Latency(who, m.Dst, m.Bytes)
-			q.Push(sim.Event{At: arriveAt, Kind: evArrival, Who: m.Dst, Aux: m.Bytes})
-			q.Push(sim.Event{At: t + busy, Kind: evProcReady, Who: who})
+			q.Push(sim.Event{At: arriveAt, Kind: evArrival, Who: int32(m.Dst), Aux: m.Bytes})
+			q.Push(sim.Event{At: t + busy, Kind: evProcReady, Who: int32(who)})
 			return
 		}
 		// Window full: stall. Service an available arrival if any.
 		stats.Stalls++
-		if ps.pending.Len() > 0 {
+		if ps.head < len(ps.pending) {
 			n.service(who, t, ps, procs, inflight, waiters, q, rng)
 			return
 		}
@@ -255,7 +250,7 @@ func (n *Active) act(who int, t sim.Time, ps *amProcState, procs []amProcState,
 
 	// All sends injected: drain the remaining expected messages.
 	if ps.received < ps.expected {
-		if ps.pending.Len() > 0 {
+		if ps.head < len(ps.pending) {
 			n.service(who, t, ps, procs, inflight, waiters, q, rng)
 			return
 		}
@@ -271,9 +266,12 @@ func (n *Active) act(who int, t sim.Time, ps *amProcState, procs []amProcState,
 func (n *Active) service(who int, t sim.Time, ps *amProcState, procs []amProcState,
 	inflight []int, waiters [][]int, q *sim.EventQueue, rng *sim.RNG) {
 
-	a := ps.pending.Pop()
+	a := ps.pending[ps.head]
+	if ps.head++; ps.head == len(ps.pending) {
+		ps.pending, ps.head = ps.pending[:0], 0
+	}
 	n.wd.Progress(t)
-	busy := jittered(n.cfg.Jitter, n.cfg.RecvCost(a.bytes), rng)
+	busy := jittered(n.cfg.Jitter, n.cfg.RecvCost(a.Aux), rng)
 	ps.received++
 	inflight[who]--
 	// Wake the senders stalled on this destination's window; they recheck
@@ -286,9 +284,9 @@ func (n *Active) service(who int, t sim.Time, ps *amProcState, procs []amProcSta
 			if procs[w].sleeping && procs[w].waitingOn == who {
 				procs[w].sleeping = false
 				procs[w].waitingOn = -1
-				q.Push(sim.Event{At: t, Kind: evProcReady, Who: w})
+				q.Push(sim.Event{At: t, Kind: evProcReady, Who: int32(w)})
 			}
 		}
 	}
-	q.Push(sim.Event{At: t + busy, Kind: evProcReady, Who: who})
+	q.Push(sim.Event{At: t + busy, Kind: evProcReady, Who: int32(who)})
 }

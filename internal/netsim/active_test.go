@@ -149,24 +149,6 @@ func TestOffsetsRespected(t *testing.T) {
 	}
 }
 
-// BenchmarkPendingHeap measures steady-state churn of the pending-arrival
-// heap. The migration off the interface-based standard heap removed the
-// arrival-to-any boxing on every push, so this must run at 0 allocs/op.
-func BenchmarkPendingHeap(b *testing.B) {
-	var q sim.Heap4[amArrival]
-	const depth = 64
-	for i := 0; i < depth; i++ {
-		q.Push(amArrival{at: sim.Time(i % 7), bytes: 8})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a := q.Pop()
-		a.at += 7
-		q.Push(a)
-	}
-}
-
 // BenchmarkActiveRouteAllToAll prices a full exchange end to end, tracking
 // the allocation footprint of the whole event loop.
 func BenchmarkActiveRouteAllToAll(b *testing.B) {

@@ -1,6 +1,9 @@
 package netsim_test
 
 import (
+	"errors"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -115,6 +118,39 @@ func TestRouterConformance(t *testing.T) {
 					}
 				}()
 				raw.Route(&comm.Step{Sends: make([][]comm.Msg, p+1)}, sim.NewRNG(4))
+			})
+
+			t.Run("malformed step", func(t *testing.T) {
+				for _, tc := range []struct {
+					name string
+					edit func(s *comm.Step)
+				}{
+					{"destination past P", func(s *comm.Step) { s.Sends[0][0].Dst = p }},
+					{"negative destination", func(s *comm.Step) { s.Sends[0][0].Dst = -1 }},
+					{"negative bytes", func(s *comm.Step) { s.Sends[0][0].Bytes = -8 }},
+					{"negative offset", func(s *comm.Step) { s.Offsets[1] = -5 }},
+					{"NaN offset", func(s *comm.Step) { s.Offsets[1] = math.NaN() }},
+					{"infinite offset", func(s *comm.Step) { s.Offsets[1] = math.Inf(1) }},
+					{"short offsets", func(s *comm.Step) { s.Offsets = s.Offsets[:p-1] }},
+				} {
+					t.Run(tc.name, func(t *testing.T) {
+						s := &comm.Step{Sends: make([][]comm.Msg, p), Offsets: make([]sim.Time, p)}
+						s.Sends[0] = []comm.Msg{{Src: 0, Dst: 1, Bytes: 8}}
+						tc.edit(s)
+						defer func() {
+							err, ok := recover().(error)
+							if !ok {
+								t.Fatal("malformed step did not panic with an error")
+							}
+							var rt runtime.Error
+							if errors.As(err, &rt) || !strings.Contains(err.Error(), raw.Name()) ||
+								!strings.Contains(err.Error(), "malformed step") {
+								t.Fatalf("panic %q does not name the router and the malformed step", err)
+							}
+						}()
+						raw.Route(s, sim.NewRNG(5))
+					})
+				}
 			})
 
 			t.Run("memo protocol", func(t *testing.T) {

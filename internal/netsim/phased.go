@@ -18,7 +18,6 @@ package netsim
 
 import (
 	"fmt"
-	"slices"
 
 	"quantpar/internal/comm"
 	"quantpar/internal/sim"
@@ -88,10 +87,11 @@ func (lt *LinkTable) Reset() {
 // Phased is an instantiated phased messaging engine.
 //
 // A Phased engine carries reusable per-Route scratch (injection list,
-// arrival heaps, finish times), so Route is not safe for concurrent use on
-// one instance; the parallel sweep engine gives every worker its own
-// router. The scratch makes steady-state routing allocation-free once the
-// backing arrays have grown to the step's working set.
+// merge cursors, arrival queues, finish times), so Route is not safe for
+// concurrent use on one instance; the parallel sweep engine gives every
+// worker its own router. The scratch makes steady-state routing
+// allocation-free once the backing arrays have grown to the step's working
+// set.
 type Phased struct {
 	cfg     PhasedConfig
 	transit Transit
@@ -100,7 +100,10 @@ type Phased struct {
 	// Per-Route scratch, reset at the top of every Route call.
 	sendDone   []sim.Time
 	injections []injection
-	arrivals   []sim.Heap4[arrival]
+	cursors    []cursor
+	// arrivals queues each destination's messages: Aux holds the bytes,
+	// Kind arrFirst or arrRetried.
+	arrivals   []sim.EventQueue
 	finish     []sim.Time // result buffer; see comm.Result.Finish ownership note
 	recvStarts []sim.Time // per-drain service-start times
 	stats      comm.Stats // staged here so stats passed to transit funcs does not escape per call
@@ -128,7 +131,7 @@ func NewPhased(cfg PhasedConfig, numLinks int, transit Transit) (*Phased, error)
 		transit:  transit,
 		links:    NewLinkTable(numLinks),
 		sendDone: make([]sim.Time, cfg.Procs),
-		arrivals: make([]sim.Heap4[arrival], cfg.Procs),
+		arrivals: make([]sim.EventQueue, cfg.Procs),
 		finish:   make([]sim.Time, cfg.Procs),
 	}, nil
 }
@@ -139,22 +142,57 @@ func (n *Phased) Config() PhasedConfig { return n.cfg }
 // Procs implements Engine.
 func (n *Phased) Procs() int { return n.cfg.Procs }
 
-type arrival struct {
-	at      sim.Time
-	bytes   int
-	retried bool
-}
+// Arrival event kinds. A message that has already been retried once is
+// accepted on its second attempt (the sender has backed off long enough
+// that a slot is guaranteed by the retryAt computation), which guards the
+// drain loop against livelock.
+const (
+	arrFirst = iota
+	arrRetried
+)
 
-// Before orders arrivals by delivery time; sim.Heap4 breaks exact ties
-// FIFO, so receive processing is deterministic.
-func (a arrival) Before(b arrival) bool { return a.at < b.at }
-
-// injection orders messages by the time they enter the network.
+// injection is one message entering the network at time at.
 type injection struct {
 	at    sim.Time
-	src   int
 	dst   int
 	bytes int
+}
+
+// cursor is one source's position in the merge of the per-source
+// injection runs: the run's unread entries are injections[next:end], and
+// at caches injections[next].at.
+type cursor struct {
+	at        sim.Time
+	src       int
+	next, end int
+}
+
+// before is the merge order: earlier injection first, lower source first
+// among equal times.
+func (c *cursor) before(d *cursor) bool {
+	return c.at < d.at || c.at <= d.at && c.src < d.src
+}
+
+// siftDown restores the 4-ary heap order of h below position i.
+func siftDown(h []cursor, i int) {
+	c := h[i]
+	for {
+		best := 4*i + 1
+		if best >= len(h) {
+			break
+		}
+		for j := best + 1; j < 4*i+5 && j < len(h); j++ {
+			if h[j].before(&h[best]) {
+				best = j
+			}
+		}
+		if !h[best].before(&c) {
+			break
+		}
+		h[i] = h[best]
+		i = best
+	}
+	h[i] = c
 }
 
 // Route prices one communication step. See the type comment for the
@@ -174,45 +212,63 @@ func (n *Phased) Route(step *comm.Step, rng *sim.RNG) comm.Result {
 
 	// Phase 1: sender timelines. Each processor starts at its skew offset
 	// and performs its sends back to back; each send occupies the CPU for
-	// the software overhead plus the outgoing copy.
+	// the software overhead plus the outgoing copy. A clock that never
+	// goes back makes injections one time-sorted run per source.
 	sendDone := n.sendDone
 	injections := n.injections[:0]
+	cursors := n.cursors[:0]
 	for src := 0; src < p; src++ {
 		t := sim.Time(0)
 		if step.Offsets != nil {
 			t = step.Offsets[src]
 		}
-		for _, m := range step.Sends[src] {
-			t += jittered(n.cfg.Jitter, n.cfg.SendCost(m.Bytes), rng)
-			injections = append(injections, injection{at: t, src: src, dst: m.Dst, bytes: m.Bytes})
+		start := len(injections)
+		for i, m := range step.Sends[src] {
+			d := jittered(n.cfg.Jitter, n.cfg.SendCost(m.Bytes), rng)
+			if !(d >= 0) {
+				panic(fmt.Sprintf("netsim: %s: processor %d send %d costs %gus", n.wd.Label, src, i, d))
+			}
+			t += d
+			injections = append(injections, injection{at: t, dst: m.Dst, bytes: m.Bytes})
 			stats.Msgs++
 			stats.Bytes += m.Bytes
 		}
 		sendDone[src] = t
+		if len(injections) > start {
+			cursors = append(cursors, cursor{at: injections[start].at, src: src, next: start, end: len(injections)})
+		}
 	}
 	n.injections = injections
 
 	// Phase 2: network transit with link contention, processed in global
-	// injection order (FCFS link arbitration). The comparison-function sort
-	// (rather than sort.SliceStable) keeps this phase allocation-free.
-	slices.SortStableFunc(injections, func(a, b injection) int {
-		if a.at < b.at {
-			return -1
-		}
-		if a.at > b.at {
-			return 1
-		}
-		return 0
-	})
+	// injection order (FCFS link arbitration), ties going to the lower
+	// source and then to send order. A 4-ary heap of run cursors merges
+	// the sorted runs into that order.
+	for i := len(cursors) - 1; i >= 0; i-- {
+		siftDown(cursors, i)
+	}
 	arrivals := n.arrivals
 	for i := range arrivals {
 		arrivals[i].Reset()
+		arrivals[i].Label = n.wd.Label
 	}
 	n.events += len(injections)
-	for _, inj := range injections {
-		at := n.transit(inj.src, inj.dst, inj.bytes, inj.at, n.links, stats)
-		arrivals[inj.dst].Push(arrival{at: at, bytes: inj.bytes})
+	for len(cursors) > 0 {
+		c := &cursors[0]
+		inj := injections[c.next]
+		at := n.transit(c.src, inj.dst, inj.bytes, inj.at, n.links, stats)
+		arrivals[inj.dst].Push(sim.Event{At: at, Who: int32(inj.dst), Kind: arrFirst, Aux: inj.bytes})
+		if c.next++; c.next < c.end {
+			c.at = injections[c.next].at
+		} else {
+			cursors[0] = cursors[len(cursors)-1]
+			cursors = cursors[:len(cursors)-1]
+		}
+		if len(cursors) > 0 {
+			siftDown(cursors, 0)
+		}
 	}
+	n.cursors = cursors
 
 	// Phase 3: per-destination receive queues with finite buffers.
 	finish := n.finish
@@ -242,7 +298,7 @@ func (n *Phased) Route(step *comm.Step, rng *sim.RNG) comm.Result {
 // with a buffer of RecvBuffer slots. A message arriving to a full buffer is
 // retransmitted: it re-enters the arrival stream at the time the buffer has
 // room plus the retry penalty (jittered). Returns the completion time.
-func (n *Phased) drain(dst int, cpuFree sim.Time, q *sim.Heap4[arrival], rng *sim.RNG, stats *comm.Stats) sim.Time {
+func (n *Phased) drain(dst int, cpuFree sim.Time, q *sim.EventQueue, rng *sim.RNG, stats *comm.Stats) sim.Time {
 	if q.Len() == 0 {
 		return cpuFree
 	}
@@ -258,38 +314,33 @@ func (n *Phased) drain(dst int, cpuFree sim.Time, q *sim.Heap4[arrival], rng *si
 	for q.Len() > 0 {
 		a := q.Pop()
 		n.events++
-		n.wd.Tick(a.at, q.Len())
-		// Free slots for every accepted message whose service started by a.at.
-		for served < len(recvStarts) && recvStarts[served] <= a.at {
+		n.wd.Tick(a.At, q.Len())
+		// Free slots for every accepted message whose service started by a.At.
+		for served < len(recvStarts) && recvStarts[served] <= a.At {
 			served++
 		}
 		occupancy := len(recvStarts) - served
-		if n.cfg.RecvBuffer > 0 && occupancy >= n.cfg.RecvBuffer && !canRetryForever(a) {
+		if n.cfg.RecvBuffer > 0 && occupancy >= n.cfg.RecvBuffer && a.Kind != arrRetried {
 			// Buffer full: the receiver burns CPU refusing the message,
 			// and the message is retransmitted once a slot will be free.
 			stats.BufferFulls++
 			end += jittered(n.cfg.Jitter, n.cfg.NackCost, rng)
 			retryAt := recvStarts[served]
-			if retryAt < a.at {
-				retryAt = a.at
+			if retryAt < a.At {
+				retryAt = a.At
 			}
 			retryAt += jittered(n.cfg.Jitter, n.cfg.RetryPenalty, rng)
-			q.Push(arrival{at: retryAt, bytes: a.bytes, retried: true})
+			q.Push(sim.Event{At: retryAt, Who: a.Who, Kind: arrRetried, Aux: a.Aux})
 			continue
 		}
 		start := end
-		if a.at > start {
-			start = a.at
+		if a.At > start {
+			start = a.At
 		}
 		recvStarts = append(recvStarts, start)
-		end = start + jittered(n.cfg.Jitter, n.cfg.RecvCost(a.bytes), rng)
+		end = start + jittered(n.cfg.Jitter, n.cfg.RecvCost(a.Aux), rng)
 		n.wd.Progress(start)
 	}
 	n.recvStarts = recvStarts
 	return end
 }
-
-// canRetryForever guards against livelock: a message that has already been
-// retried once is accepted on its second attempt (the sender has backed off
-// long enough that a slot is guaranteed by the retryAt computation).
-func canRetryForever(a arrival) bool { return a.retried }

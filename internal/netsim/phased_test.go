@@ -166,21 +166,60 @@ func TestLinkContentionSerializes(t *testing.T) {
 	}
 }
 
-// BenchmarkArrivalHeap measures steady-state churn of a destination's
-// arrival heap. The migration off the interface-based standard heap removed
-// the arrival-to-any boxing on every push, so this must run at 0 allocs/op.
-func BenchmarkArrivalHeap(b *testing.B) {
-	var q sim.Heap4[arrival]
-	const depth = 64
-	for i := 0; i < depth; i++ {
-		q.Push(arrival{at: sim.Time(i % 7), bytes: 8})
+// TestPhasedTransitOrder pins the order in which the injections reach the
+// transit function (FCFS link arbitration depends on it): by departure
+// time, ties to the lower source, then to send order. The steps are full
+// of exact ties across sources, and their destinations fall as the source
+// rises, so a merge that broke ties any other way would show.
+func TestPhasedTransitOrder(t *testing.T) {
+	type call struct {
+		depart   sim.Time
+		src, idx int
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a := q.Pop()
-		a.at += 7
-		q.Push(a)
+	for _, tc := range []struct {
+		name   string
+		osend  float64
+		jitter float64
+		offset func(src int) sim.Time
+	}{
+		{"zero overheads, equal offsets", 0, 0, func(int) sim.Time { return 3 }},
+		{"zero overheads, grouped offsets", 0, 0, func(src int) sim.Time { return sim.Time(src%3) * 2 }},
+		{"equal overheads, equal offsets", 1.5, 0, func(int) sim.Time { return 0 }},
+		{"jittered overheads", 4, 0.3, func(src int) sim.Time { return sim.Time(src % 2) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := phasedTestConfig()
+			cfg.OSend, cfg.OSendBlock, cfg.CSendByte = tc.osend, tc.osend, 0
+			cfg.Jitter = tc.jitter
+			var calls []call
+			record := func(src, dst, bytes int, depart sim.Time, links *LinkTable, stats *comm.Stats) sim.Time {
+				calls = append(calls, call{depart: depart, src: src, idx: bytes})
+				return depart + 5
+			}
+			n, err := NewPhased(cfg, 0, record)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const p, sends = 8, 5
+			s := &comm.Step{Sends: make([][]comm.Msg, p), Offsets: make([]sim.Time, p)}
+			for src := 0; src < p; src++ {
+				s.Offsets[src] = tc.offset(src)
+				for i := 0; i < sends; i++ {
+					// Bytes carry the send index; they cost nothing to send.
+					s.Sends[src] = append(s.Sends[src], comm.Msg{Src: src, Dst: (2*p - 1 - src - i) % p, Bytes: i})
+				}
+			}
+			n.Route(s, sim.NewRNG(9))
+			if len(calls) != p*sends {
+				t.Fatalf("transit called %d times for %d messages", len(calls), p*sends)
+			}
+			for i := 1; i < len(calls); i++ {
+				a, b := calls[i-1], calls[i]
+				if b.depart < a.depart || b.depart <= a.depart && (b.src < a.src || b.src == a.src && b.idx <= a.idx) {
+					t.Fatalf("transit call %d %+v came after %+v", i, b, a)
+				}
+			}
+		})
 	}
 }
 

@@ -31,14 +31,6 @@ import (
 	"quantpar/internal/sim"
 )
 
-// relMsg is one logical message tracked by the protocol; its index in the
-// collection order (source-major, send order — the same order every part
-// of this module uses) is its sequence number.
-type relMsg struct {
-	src, dst, bytes int
-	acked           bool
-}
-
 // SetFaultPlan activates (or with nil deactivates) fault injection on
 // this backend. The plan's watchdog limits are applied to the engine;
 // clearing the plan restores the defaults.
@@ -96,14 +88,11 @@ func (c *Core) routeReliable(step *comm.Step, rng *sim.RNG) comm.Result {
 		c.ackSends = make([][]comm.Msg, p)
 	}
 
-	// Sequence the logical messages in the canonical source-major order.
-	msgs := c.relMsgs[:0]
-	for src, list := range step.Sends {
-		for _, m := range list {
-			msgs = append(msgs, relMsg{src: src, dst: m.Dst, bytes: m.Bytes})
-		}
-	}
-	c.relMsgs = msgs
+	// A logical message's index in the canonical source-major order (send
+	// order within a source, the order every part of this module uses) is
+	// its sequence number; acked records which ones have completed.
+	acked := append(c.acked[:0], make([]bool, step.NumMsgs())...)
+	c.acked = acked
 
 	// First-round offsets: the step's own clock skews plus any active
 	// stall windows (a stalled processor enters the step late).
@@ -127,17 +116,21 @@ func (c *Core) routeReliable(step *comm.Step, rng *sim.RNG) comm.Result {
 		stats   comm.Stats
 		events  int
 	)
-	pending := len(msgs)
+	pending := len(acked)
 	maxAttempts := 1 + proto.MaxRetriesEffective()
 
 	for attempt := 0; pending > 0; attempt++ {
 		if attempt >= maxAttempts {
-			for i := range msgs {
-				if !msgs[i].acked {
-					panic(&faults.DeliveryError{
-						Router: c.spec.name, Src: msgs[i].src, Dst: msgs[i].dst,
-						Seq: uint64(i), Attempts: attempt,
-					})
+			seq := 0
+			for src, list := range step.Sends {
+				for _, m := range list {
+					if !acked[seq] {
+						panic(&faults.DeliveryError{
+							Router: c.spec.name, Src: src, Dst: m.Dst,
+							Seq: uint64(seq), Attempts: attempt,
+						})
+					}
+					seq++
 				}
 			}
 		}
@@ -147,52 +140,56 @@ func (c *Core) routeReliable(step *comm.Step, rng *sim.RNG) comm.Result {
 			ackSends[i] = ackSends[i][:0]
 		}
 		dataFrames, ackFrames := 0, 0
-		for i := range msgs {
-			m := &msgs[i]
-			if m.acked {
-				continue
-			}
-			if plan.Crashed(m.src) {
-				// A dead sender injects nothing; the message can never
-				// complete and will exhaust the retry budget.
-				stats.Dropped++
-				continue
-			}
-			fate := plan.FrameFate(stepIdx, uint64(i), attempt)
-			dataSends[m.src] = append(dataSends[m.src], comm.Msg{Src: m.src, Dst: m.dst, Bytes: m.bytes})
-			dataFrames++
-			if attempt > 0 {
-				stats.Retries++
-			}
-			if fate == faults.Duplicate {
-				dataSends[m.src] = append(dataSends[m.src], comm.Msg{Src: m.src, Dst: m.dst, Bytes: m.bytes})
+		seq := -1
+		for src, list := range step.Sends {
+			for _, m := range list {
+				seq++
+				if acked[seq] {
+					continue
+				}
+				if plan.Crashed(src) {
+					// A dead sender injects nothing; the message can never
+					// complete and will exhaust the retry budget.
+					stats.Dropped++
+					continue
+				}
+				fate := plan.FrameFate(stepIdx, uint64(seq), attempt)
+				frame := comm.Msg{Src: src, Dst: m.Dst, Bytes: m.Bytes}
+				dataSends[src] = append(dataSends[src], frame)
 				dataFrames++
-				stats.Duplicated++
-			}
-			delivered := false
-			switch {
-			case plan.Crashed(m.dst):
-				stats.Dropped++
-			case fate == faults.Drop:
-				stats.Dropped++
-			case fate == faults.Corrupt:
-				stats.Corrupted++
-			case fate == faults.Delay:
-				stats.Delayed++
-			default: // Deliver, or Duplicate (one copy survives)
-				delivered = true
-			}
-			if !delivered {
-				continue
-			}
-			// The receiver acknowledges; the ack frame is priced whether
-			// or not it survives the return path.
-			ackSends[m.dst] = append(ackSends[m.dst], comm.Msg{Src: m.dst, Dst: m.src, Bytes: proto.AckBytesEffective()})
-			ackFrames++
-			stats.Acks++
-			if !plan.AckLost(stepIdx, uint64(i), attempt) {
-				m.acked = true
-				pending--
+				if attempt > 0 {
+					stats.Retries++
+				}
+				if fate == faults.Duplicate {
+					dataSends[src] = append(dataSends[src], frame)
+					dataFrames++
+					stats.Duplicated++
+				}
+				delivered := false
+				switch {
+				case plan.Crashed(m.Dst):
+					stats.Dropped++
+				case fate == faults.Drop:
+					stats.Dropped++
+				case fate == faults.Corrupt:
+					stats.Corrupted++
+				case fate == faults.Delay:
+					stats.Delayed++
+				default: // Deliver, or Duplicate (one copy survives)
+					delivered = true
+				}
+				if !delivered {
+					continue
+				}
+				// The receiver acknowledges; the ack frame is priced whether
+				// or not it survives the return path.
+				ackSends[m.Dst] = append(ackSends[m.Dst], comm.Msg{Src: m.Dst, Dst: src, Bytes: proto.AckBytesEffective()})
+				ackFrames++
+				stats.Acks++
+				if !plan.AckLost(stepIdx, uint64(seq), attempt) {
+					acked[seq] = true
+					pending--
+				}
 			}
 		}
 
@@ -232,7 +229,7 @@ func (c *Core) routeReliable(step *comm.Step, rng *sim.RNG) comm.Result {
 		}
 	}
 
-	if len(msgs) == 0 {
+	if len(acked) == 0 {
 		// A pure-barrier (or empty) step: price it directly, with stall
 		// offsets applied, and keep the engine's own result shape.
 		sub := &c.subStep

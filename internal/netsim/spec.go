@@ -1,6 +1,9 @@
 package netsim
 
 import (
+	"fmt"
+	"math"
+
 	"quantpar/internal/comm"
 	"quantpar/internal/faults"
 	"quantpar/internal/phase"
@@ -85,7 +88,7 @@ type Core struct {
 	plan *faults.Plan
 
 	// Reliable-protocol scratch, allocated on first faulty Route.
-	relMsgs  []relMsg
+	acked    []bool
 	subSends [][]comm.Msg
 	ackSends [][]comm.Msg
 	offsets  []sim.Time
@@ -95,14 +98,11 @@ type Core struct {
 }
 
 // NewCore builds the backend from its declarative identity and its engine,
-// and labels the engine's watchdog (and event queue, where the engine has
-// one) with the model name so livelock aborts identify their router.
+// and labels the engine's watchdog with the model name so livelock aborts
+// identify their router. Engines label their event queues from it.
 func NewCore(spec *Spec, eng Engine) *Core {
 	c := &Core{spec: spec, eng: eng}
 	eng.Watchdog().Label = spec.name
-	if a, ok := eng.(*Active); ok {
-		a.q.Label = spec.name
-	}
 	return c
 }
 
@@ -112,14 +112,41 @@ func (c *Core) Name() string { return c.spec.name }
 // Procs implements comm.Router.
 func (c *Core) Procs() int { return c.eng.Procs() }
 
-// Route implements comm.Router. Without a fault plan it is a direct pass
-// to the engine; with one, the step is priced under the reliable-delivery
+// Route implements comm.Router. It panics with an error on a malformed
+// step (see validate). Without a fault plan it is a direct pass to the
+// engine; with one, the step is priced under the reliable-delivery
 // protocol.
 func (c *Core) Route(step *comm.Step, rng *sim.RNG) comm.Result {
+	c.validate(step)
 	if c.plan == nil {
 		return c.eng.Route(step, rng)
 	}
 	return c.routeReliable(step, rng)
+}
+
+// validate rejects what no engine can price: a destination outside
+// [0, P), a negative byte count, an offset vector not of length P, or an
+// offset that is negative, NaN or infinite. The engines' event queues and
+// the Phased injection merge need non-negative finite times and costs.
+// bsplib reports the panic as the failing step's error.
+func (c *Core) validate(step *comm.Step) {
+	p := c.eng.Procs()
+	for src, sends := range step.Sends {
+		for i, m := range sends {
+			if m.Dst < 0 || m.Dst >= p || m.Bytes < 0 {
+				panic(fmt.Errorf("netsim: %s: malformed step: processor %d send %d has destination %d and %d bytes on %d processors",
+					c.spec.name, src, i, m.Dst, m.Bytes, p))
+			}
+		}
+	}
+	if step.Offsets != nil && len(step.Offsets) != p {
+		panic(fmt.Errorf("netsim: %s: malformed step: %d offsets on %d processors", c.spec.name, len(step.Offsets), p))
+	}
+	for src, off := range step.Offsets {
+		if !(off >= 0) || math.IsInf(off, 1) {
+			panic(fmt.Errorf("netsim: %s: malformed step: processor %d has offset %gus", c.spec.name, src, off))
+		}
+	}
 }
 
 // Fingerprint identifies the backend model and its calibrated constants

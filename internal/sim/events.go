@@ -1,6 +1,10 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"math/bits"
+)
 
 // Event is a scheduled occurrence in an event-driven simulation. The
 // payload is interpreted by the simulation that scheduled it. Payloads are
@@ -8,199 +12,124 @@ import "fmt"
 // a message index), so scheduling an event never boxes and never allocates.
 type Event struct {
 	At   Time
-	Kind int
-	Who  int // entity index (processor, link, ...)
+	Who  int32 // entity index (processor, link, ...)
+	Kind int32
 	Aux  int // integer payload slot
-
-	seq int // tie-breaker: FIFO among equal-time events
 }
 
-// EventQueue is a min-heap of events ordered by time, with FIFO ordering
-// among events scheduled for the same instant so that simulations remain
-// deterministic. The zero value is an empty, ready-to-use queue.
+// EventQueue is a monotone priority queue of events ordered by time, with
+// FIFO order among events scheduled for the same instant so that
+// simulations stay deterministic. The zero value is an empty, ready-to-use
+// queue.
 //
-// The heap is 4-ary and inlined rather than container/heap-based: Push and
-// Pop sit on the innermost loop of every router, and the concrete
-// implementation avoids the interface dispatch and Event-to-any boxing of
-// the generic heap (zero allocations per operation once the backing array
-// has grown to the simulation's working set). The shallower 4-ary shape
-// also halves the sift-down depth for the queue sizes the routers produce.
+// Times must be non-negative and not NaN, and no event may be scheduled
+// before the most recently popped one; Push panics otherwise. Within that
+// contract the queue is a radix heap keyed on the bits of the event time,
+// which order non-negative floats as integers. Bucket b holds the events
+// whose key first differs from the last popped key at bit b-1 (bucket 0:
+// equal keys). Pop drains bucket 0 front to back; when it is empty, the
+// lowest non-empty bucket is redistributed, in its stored order, around
+// its minimum key into the buckets below it, all of which are empty. Equal
+// keys therefore always share a bucket, every bucket stays in push order,
+// and ties pop first-in first-out with no sequence counter.
 type EventQueue struct {
-	h   []Event
-	seq int
-
 	// Label names the simulation (typically the owning router) in the
-	// time-travel panic; an empty label reports as "unnamed queue".
+	// panics Push raises; an empty label reports as "unnamed queue".
 	Label string
 
-	// floor is the timestamp of the most recently popped event; pushing an
-	// event scheduled before it would silently corrupt the simulation's
-	// causal order, so Push rejects it. hasFloor distinguishes "nothing
-	// popped yet" from a floor at t=0.
-	floor    Time
-	hasFloor bool
+	// Keys have the sign bit clear, so key^last < 2^63 and 64 buckets
+	// suffice. The table is allocated on the first Push: most queues of a
+	// freshly built machine never see an event.
+	b    *[64][]Event
+	head int    // read position in b[0]
+	mask uint64 // bit i set when b[i] may be non-empty
+	last uint64 // key of the most recently popped event; 0 before any pop
+	n    int
 }
 
-// eventBefore is the heap order: earlier time first, FIFO among exact ties.
-func eventBefore(a, b Event) bool {
-	// Only exactly equal timestamps fall through to the FIFO tie-break;
-	// nearly-equal times must keep their time ordering.
-	if a.At != b.At { //qpvet:ignore simtime -- exact comparison is the tie-break criterion
-		return a.At < b.At
-	}
-	return a.seq < b.seq
-}
+// key maps a non-negative time to an order-preserving integer, folding -0
+// into +0.
+func key(t Time) uint64 { return math.Float64bits(t) &^ (1 << 63) }
 
-// Push schedules an event. Scheduling into the past — an event earlier
-// than the last popped timestamp — panics: the simulation already advanced
+// Push schedules an event. It panics if the time is negative or NaN, or
+// earlier than the last popped event: the simulation already advanced
 // beyond that instant, and accepting the event would silently corrupt
 // event ordering.
 func (q *EventQueue) Push(e Event) {
-	if q.hasFloor && e.At < q.floor {
-		q.timeTravel(e)
+	k := key(e.At)
+	if !(e.At >= 0) || k < q.last {
+		q.reject(e)
 	}
-	e.seq = q.seq
-	q.seq++
-	q.h = append(q.h, e)
-	q.siftUp(len(q.h) - 1)
+	if q.b == nil {
+		q.b = new([64][]Event)
+	}
+	i := bits.Len64(k ^ q.last)
+	q.b[i] = append(q.b[i], e)
+	q.mask |= 1 << i
+	q.n++
 }
 
-// timeTravel reports a push into the past. Out of line so Push stays small
-// enough to inline.
-func (q *EventQueue) timeTravel(e Event) {
+// reject reports an invalid push. Out of line so Push stays small.
+func (q *EventQueue) reject(e Event) {
 	label := q.Label
 	if label == "" {
 		label = "unnamed queue"
 	}
+	if !(e.At >= 0) {
+		panic(fmt.Sprintf("sim: %s: event for entity %d scheduled at invalid time t=%gus",
+			label, e.Who, float64(e.At)))
+	}
 	panic(fmt.Sprintf("sim: %s: time travel: event for entity %d scheduled at t=%gus after popping t=%gus",
-		label, e.Who, float64(e.At), float64(q.floor)))
-}
-
-// PushBatch schedules a batch of events in one operation. FIFO tie-break
-// order among equal-time events follows the slice order, exactly as if each
-// event had been Pushed in turn.
-//
-// When the batch is at least as large as the pending queue — the common
-// shape at the top of a Route call, where a router injects P simultaneous
-// processor-ready events into an empty queue — the batch is appended
-// wholesale and the heap is rebuilt bottom-up (Floyd), which is O(n) total
-// instead of the O(n·log₄ n) of per-event sift-ups. Smaller batches fall
-// back to individual sift-ups, which are cheaper than a full rebuild.
-func (q *EventQueue) PushBatch(events []Event) {
-	if len(events) == 0 {
-		return
-	}
-	rebuild := len(events) >= len(q.h)
-	for _, e := range events {
-		if q.hasFloor && e.At < q.floor {
-			q.timeTravel(e)
-		}
-		e.seq = q.seq
-		q.seq++
-		q.h = append(q.h, e)
-		if !rebuild {
-			q.siftUp(len(q.h) - 1)
-		}
-	}
-	if rebuild {
-		q.heapify()
-	}
-}
-
-// Reserve grows the backing array so that at least n further events can be
-// pushed without reallocation. It never shrinks.
-func (q *EventQueue) Reserve(n int) {
-	if need := len(q.h) + n; need > cap(q.h) {
-		h := make([]Event, len(q.h), need)
-		copy(h, q.h)
-		q.h = h
-	}
+		label, e.Who, float64(e.At), math.Float64frombits(q.last)))
 }
 
 // Pop removes and returns the earliest event. It panics on an empty queue;
 // callers must check Len first.
 func (q *EventQueue) Pop() Event {
-	top := q.h[0]
-	q.floor = top.At
-	q.hasFloor = true
-	n := len(q.h) - 1
-	last := q.h[n]
-	q.h = q.h[:n]
-	if n > 0 {
-		q.h[0] = last
-		q.siftDown(0)
+	if q.head == len(q.b[0]) {
+		q.refill()
 	}
-	return top
+	e := q.b[0][q.head]
+	q.head++
+	q.n--
+	return e
 }
 
-// Peek returns the earliest event without removing it. The second result
-// is false if the queue is empty.
-func (q *EventQueue) Peek() (Event, bool) {
-	if len(q.h) == 0 {
-		return Event{}, false
+// refill moves the events of the lowest non-empty bucket into bucket 0 and
+// the buckets below their own, advancing last to their minimum key.
+func (q *EventQueue) refill() {
+	b := q.b
+	b[0] = b[0][:0]
+	q.head = 0
+	q.mask &^= 1
+	i := bits.TrailingZeros64(q.mask)
+	src := b[i]
+	lo := key(src[0].At)
+	for _, e := range src[1:] {
+		if k := key(e.At); k < lo {
+			lo = k
+		}
 	}
-	return q.h[0], true
+	q.last = lo
+	for _, e := range src {
+		j := bits.Len64(key(e.At) ^ lo)
+		b[j] = append(b[j], e)
+		q.mask |= 1 << j
+	}
+	b[i] = src[:0]
+	q.mask &^= 1 << i
 }
 
 // Len returns the number of pending events.
-func (q *EventQueue) Len() int { return len(q.h) }
+func (q *EventQueue) Len() int { return q.n }
 
-// Reset discards all pending events. The backing array is retained for
-// reuse across trials; events carry no pointers, so retaining it pins no
-// payload memory.
+// Reset discards all pending events and the time-travel floor. The bucket
+// arrays are retained for reuse across trials; events carry no pointers,
+// so retaining them pins no payload memory.
 func (q *EventQueue) Reset() {
-	q.h = q.h[:0]
-	q.seq = 0
-	q.hasFloor = false
-	q.floor = 0
-}
-
-// heapify restores the heap invariant over the whole backing array
-// bottom-up: sift down every internal node from the last parent to the
-// root. Linear total work on a 4-ary heap.
-func (q *EventQueue) heapify() {
-	n := len(q.h)
-	for i := (n - 2) / 4; i >= 0; i-- {
-		q.siftDown(i)
+	for m := q.mask; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		q.b[i] = q.b[i][:0]
 	}
-}
-
-func (q *EventQueue) siftUp(i int) {
-	e := q.h[i]
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !eventBefore(e, q.h[parent]) {
-			break
-		}
-		q.h[i] = q.h[parent]
-		i = parent
-	}
-	q.h[i] = e
-}
-
-func (q *EventQueue) siftDown(i int) {
-	n := len(q.h)
-	e := q.h[i]
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		best := first
-		end := first + 4
-		if end > n {
-			end = n
-		}
-		for c := first + 1; c < end; c++ {
-			if eventBefore(q.h[c], q.h[best]) {
-				best = c
-			}
-		}
-		if !eventBefore(q.h[best], e) {
-			break
-		}
-		q.h[i] = q.h[best]
-		i = best
-	}
-	q.h[i] = e
+	q.head, q.mask, q.last, q.n = 0, 0, 0, 0
 }

@@ -1,6 +1,6 @@
 // Package sim provides the discrete-event simulation kernel used by the
-// machine simulators: simulated time measured in microseconds, a binary
-// heap event queue, and deterministic splittable random number generation.
+// machine simulators: simulated time measured in microseconds, a monotone
+// radix event queue, and deterministic splittable random number generation.
 //
 // All simulated times in this repository are float64 microseconds, matching
 // the units of the paper (Juurlink & Wijshoff, SPAA'96), whose machine

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -25,98 +27,104 @@ func TestEventQueueOrdersByTime(t *testing.T) {
 
 func TestEventQueueFIFOAmongTies(t *testing.T) {
 	var q EventQueue
-	for i := 0; i < 10; i++ {
+	for i := int32(0); i < 10; i++ {
 		q.Push(Event{At: 7, Who: i})
 	}
-	for i := 0; i < 10; i++ {
+	for i := int32(0); i < 10; i++ {
 		if e := q.Pop(); e.Who != i {
 			t.Fatalf("tie-broken event %d popped at position %d", e.Who, i)
 		}
 	}
 }
 
-func TestEventQueuePeekAndReset(t *testing.T) {
+// TestEventQueueReset pins that Reset empties a queue whose buckets still
+// hold events, drops the time-travel floor, and restarts FIFO order.
+func TestEventQueueReset(t *testing.T) {
 	var q EventQueue
-	if _, ok := q.Peek(); ok {
-		t.Fatal("peek on empty queue returned an event")
+	for _, at := range []Time{2, 1, 900, 1e9, math.Inf(1)} {
+		q.Push(Event{At: at})
 	}
-	q.Push(Event{At: 2})
-	q.Push(Event{At: 1})
-	if e, ok := q.Peek(); !ok || e.At != 1 {
-		t.Fatalf("peek got %+v, want event at 1", e)
-	}
-	if q.Len() != 2 {
-		t.Fatalf("len %d after peek, want 2", q.Len())
+	if e := q.Pop(); e.At != 1 {
+		t.Fatalf("popped %+v, want t=1", e)
 	}
 	q.Reset()
 	if q.Len() != 0 {
 		t.Fatalf("len %d after reset", q.Len())
 	}
-}
-
-// TestEventQueuePushBatchMatchesPush pins the batch-scheduling contract:
-// PushBatch must be observationally identical to pushing each event in
-// slice order — same time ordering, same FIFO tie-break — across both the
-// rebuild path (batch dominates the queue) and the sift-up path (small
-// batch into a populated queue).
-func TestEventQueuePushBatchMatchesPush(t *testing.T) {
-	mkBatch := func(n, salt int) []Event {
-		b := make([]Event, n)
-		for i := range b {
-			b[i] = Event{At: Time((i * 7 % 5)), Kind: salt, Who: i}
+	// Below the old floor: legal in a new simulation window.
+	q.Push(Event{At: 0.5, Who: 1})
+	q.Push(Event{At: 0.5, Who: 2})
+	for want := int32(1); want <= 2; want++ {
+		if e := q.Pop(); e.Who != want || e.At != 0.5 {
+			t.Fatalf("popped %+v after reset, want entity %d at t=0.5", e, want)
 		}
-		return b
 	}
-	for _, tc := range []struct {
-		name           string
-		preload, batch int
-	}{
-		{"dominating-batch", 3, 64},
-		{"small-batch", 64, 3},
-		{"empty-queue", 0, 16},
-		{"empty-batch", 16, 0},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			var ref, q EventQueue
-			for i := 0; i < tc.preload; i++ {
-				e := Event{At: Time(i % 4), Kind: -1, Who: i}
-				ref.Push(e)
-				q.Push(e)
-			}
-			batch := mkBatch(tc.batch, 1)
-			for _, e := range batch {
-				ref.Push(e)
-			}
-			q.PushBatch(batch)
-			if ref.Len() != q.Len() {
-				t.Fatalf("len %d after PushBatch, want %d", q.Len(), ref.Len())
-			}
-			for i := 0; ref.Len() > 0; i++ {
-				want, got := ref.Pop(), q.Pop()
-				if want != got {
-					t.Fatalf("pop %d: got %+v, want %+v", i, got, want)
-				}
-			}
-		})
+	if q.Len() != 0 {
+		t.Fatalf("len %d after draining", q.Len())
 	}
 }
 
-// TestEventQueueReserve checks that a reservation eliminates growth
-// reallocation for exactly the reserved number of pushes.
-func TestEventQueueReserve(t *testing.T) {
+// TestEventQueueMatchesStableSortUnderChurn interleaves pushes and pops the
+// way the engines do - pushes never earlier than the last pop, with many
+// exact ties - and checks the whole popped sequence against a stable sort
+// of the pushed one: sorted by time, ties in push order.
+func TestEventQueueMatchesStableSortUnderChurn(t *testing.T) {
+	rng := NewRNG(7)
 	var q EventQueue
-	q.Reserve(128)
-	if cap(q.h) < 128 {
-		t.Fatalf("cap %d after Reserve(128)", cap(q.h))
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		for i := 0; i < 128; i++ {
-			q.Push(Event{At: Time(i)})
+	var pushed, popped []Event
+	floor := Time(0)
+	for i := 0; i < 20000; i++ {
+		if q.Len() == 0 || rng.Intn(3) > 0 {
+			// Few distinct offsets, several of them exact: most pushes tie
+			// with another pending event or with the last pop.
+			at := floor + []Time{0, 0.25, 1, 1, 3.5, 1e3, 1e6}[rng.Intn(7)]
+			e := Event{At: at, Who: int32(i)}
+			q.Push(e)
+			pushed = append(pushed, e)
+			continue
 		}
-		q.Reset()
-	})
-	if allocs != 0 {
-		t.Fatalf("reserved pushes allocate %.1f allocs/op, want 0", allocs)
+		e := q.Pop()
+		floor = e.At
+		popped = append(popped, e)
+	}
+	for q.Len() > 0 {
+		popped = append(popped, q.Pop())
+	}
+	want := slices.Clone(pushed)
+	slices.SortStableFunc(want, func(a, b Event) int { return cmp.Compare(a.At, b.At) })
+	if !slices.Equal(popped, want) {
+		for i := range want {
+			if popped[i] != want[i] {
+				t.Fatalf("pop %d: got %+v, want %+v", i, popped[i], want[i])
+			}
+		}
+		t.Fatalf("popped %d events, pushed %d", len(popped), len(want))
+	}
+}
+
+// BenchmarkEventQueue measures the queue under the load of the CM-5 event
+// loop: about 1,100 pending events, every push at or after the last pop,
+// and many exact ties. After warm-up the bucket arrays have grown to the
+// working set, so the loop must run at 0 allocs/op.
+func BenchmarkEventQueue(b *testing.B) {
+	const pending = 1100
+	rng := NewRNG(11)
+	// Overhead-sized delays, a few distinct values so that equal times
+	// recur, as they do for jitter-free processors in lockstep.
+	delays := make([]Time, 4096)
+	for i := range delays {
+		delays[i] = []Time{0, 6.5, 6.5, 10.25, 13, 40.5}[rng.Intn(6)]
+	}
+	var q EventQueue
+	for i := 0; i < pending; i++ {
+		q.Push(Event{At: delays[i%len(delays)], Who: int32(i)})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e := q.Pop()
+		e.At += delays[i%len(delays)]
+		q.Push(e)
 	}
 }
 
@@ -140,9 +148,9 @@ func TestRNGStateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestEventQueueZeroAllocSteadyState pins the hot-path property the 4-ary
-// heap was built for: once the backing array has grown to the working set,
-// Push and Pop allocate nothing (no any-boxing, no heap growth).
+// TestEventQueueZeroAllocSteadyState pins the hot-path property the event
+// loops rely on: once the buckets have grown to the working set, Push and
+// Pop allocate nothing (no any-boxing, no bucket growth).
 func TestEventQueueZeroAllocSteadyState(t *testing.T) {
 	var q EventQueue
 	for i := 0; i < 64; i++ {

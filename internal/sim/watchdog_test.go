@@ -7,9 +7,8 @@ import (
 )
 
 // TestEventQueueRejectsTimeTravel pins the causality guard: pushing an
-// event earlier than the last popped timestamp must panic with a message
-// naming the queue's router and both times, on both the Push and PushBatch
-// paths.
+// event earlier than the last popped timestamp, or at a negative time,
+// must panic with a message naming the queue's router and the times.
 func TestEventQueueRejectsTimeTravel(t *testing.T) {
 	expectPanic := func(t *testing.T, fn func()) (msg string) {
 		t.Helper()
@@ -46,13 +45,13 @@ func TestEventQueueRejectsTimeTravel(t *testing.T) {
 		}
 	})
 
-	t.Run("push-batch", func(t *testing.T) {
+	t.Run("unlabelled", func(t *testing.T) {
 		var q EventQueue
-		q.Push(Event{At: 3})
-		q.Pop()
-		msg := expectPanic(t, func() { q.PushBatch([]Event{{At: 3}, {At: 2, Who: 4}}) })
-		if !strings.Contains(msg, "unnamed queue") || !strings.Contains(msg, "entity 4") {
-			t.Fatalf("unexpected batch panic %q", msg)
+		msg := expectPanic(t, func() { q.Push(Event{At: -2, Who: 4}) })
+		for _, want := range []string{"unnamed queue", "entity 4", "t=-2"} {
+			if !strings.Contains(msg, want) {
+				t.Fatalf("panic %q does not mention %q", msg, want)
+			}
 		}
 	})
 
