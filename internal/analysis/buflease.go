@@ -411,7 +411,7 @@ func (t *leaseTracker) rangeHeader(nd *ast.RangeStmt, s flow.State, report bool)
 	case blAgg:
 		elem = blStepLease // element of a lease container is a lease
 	case blView:
-		elem = blView // element of a delivery batch ([]comm.Msg) is a view
+		elem = blView // element of a delivery batch ([]bsplib.Message) is a view
 	}
 	bindVar := func(e ast.Expr, v flow.Val) {
 		id, ok := ast.Unparen(e).(*ast.Ident)

@@ -49,18 +49,20 @@ func passedToGoroutine(base *sim.RNG) {
 
 // capturedByTask shares one stream across parsweep's concurrent tasks.
 func capturedByTask(base *sim.RNG, n int) ([]float64, error) {
-	return parsweep.Map(0, n, func(i int) (float64, error) {
+	return parsweep.Run(0, n, noResource, func(_ struct{}, i int) (float64, error) {
 		return base.Float64(), nil // want "captured by a parsweep task"
 	})
 }
 
 // splitPerTask derives the stream from the task index: clean.
 func splitPerTask(base *sim.RNG, n int) ([]float64, error) {
-	return parsweep.Map(0, n, func(i int) (float64, error) {
+	return parsweep.Run(0, n, noResource, func(_ struct{}, i int) (float64, error) {
 		rng := base.Split(uint64(i))
 		return rng.Float64(), nil
 	})
 }
+
+func noResource() (struct{}, error) { return struct{}{}, nil }
 
 // passedIntoParsweep hands the same pointer to every worker's factory.
 func passedIntoParsweep(base *sim.RNG, n int) ([]float64, error) {

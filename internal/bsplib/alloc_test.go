@@ -82,3 +82,50 @@ func TestSuperstepAllocsDoNotScaleWithMessages(t *testing.T) {
 		})
 	}
 }
+
+// TestMIMDSendListsSizedOncePerStep pins the MIMD step build: a word
+// stream expands into one message per word, and the engine sizes each
+// processor's send list once per step instead of growing it message by
+// message. With the phase memo warm, so that routing replays, a Run's
+// allocations therefore do not grow with the stream length.
+func TestMIMDSendListsSizedOncePerStep(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // see above
+	m, err := machine.Build("cm5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const streams = 6
+	mallocs := func(words int) uint64 {
+		// Each processor streams to itself: its list is built as for any
+		// destination, and the one simulation that fills the memo stays
+		// cheap.
+		prog := func(ctx *Context) {
+			buf := ctx.PayloadBuf(4 * words)
+			for s := 1; s <= streams; s++ {
+				ctx.SendWords(ctx.ID(), s, buf)
+			}
+			ctx.Sync()
+		}
+		if _, err := Run(m, prog, Options{Seed: 1}); err != nil { // fills the phase memo
+			t.Fatal(err)
+		}
+		fewest := uint64(math.MaxUint64)
+		for i := 0; i < 3; i++ {
+			runtime.GC() // the only collections: free the previous Run
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := Run(m, prog, Options{Seed: 1}); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			fewest = min(fewest, after.Mallocs-before.Mallocs)
+		}
+		return fewest
+	}
+	short, long := mallocs(1024), mallocs(8192)
+	t.Logf("%d and %d messages per processor: %d and %d allocations", streams*1024, streams*8192, short, long)
+	if d := int(long) - int(short); max(d, -d) >= m.P() {
+		t.Errorf("%d allocations at 8192 words per stream against %d at 1024, want a difference below P = %d",
+			long, short, m.P())
+	}
+}

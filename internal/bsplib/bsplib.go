@@ -85,6 +85,15 @@ type outMsg struct {
 	stream  bool
 }
 
+// parts returns the number of messages m is priced as on a MIMD machine:
+// one per w-byte word of a stream, one for a block.
+func (m outMsg) parts(w int) int {
+	if m.stream {
+		return (len(m.payload) + w - 1) / w
+	}
+	return 1
+}
+
 // slot is what a processor files at each synchronization: its outbox and
 // compute charge, or the end of its program with any panic. Processor p
 // writes slots[p] before it marks arrive; the engine reads it after Wait.
@@ -114,7 +123,7 @@ type engine struct {
 	clocks    []sim.Time
 	computeAt []sim.Time
 	outboxes  [][]outMsg
-	inboxes   [][]comm.Msg
+	inboxes   [][]Message
 
 	// Delivery arenas, used in turn: step k's payloads are copied into
 	// arenas[cur] and stay intact while step k+1's are copied into the
@@ -139,13 +148,13 @@ type engine struct {
 	res     RunResult
 }
 
-// newMsgLists preallocates per-processor message lists with room for a
-// typical superstep's traffic, avoiding the append-doubling allocations of
-// every run's first delivery.
-func newMsgLists(n int) [][]comm.Msg {
-	lists := make([][]comm.Msg, n)
+// newInboxes preallocates per-processor inboxes with room for a typical
+// superstep's traffic, avoiding the append-doubling allocations of every
+// run's first delivery.
+func newInboxes(n int) [][]Message {
+	lists := make([][]Message, n)
 	for i := range lists {
-		lists[i] = make([]comm.Msg, 0, 16)
+		lists[i] = make([]Message, 0, 16)
 	}
 	return lists
 }
@@ -172,7 +181,7 @@ func Run(m *machine.Machine, prog Program, opt Options) (*RunResult, error) {
 		clocks:     make([]sim.Time, n),
 		computeAt:  make([]sim.Time, n),
 		outboxes:   make([][]outMsg, n),
-		inboxes:    newMsgLists(n),
+		inboxes:    newInboxes(n),
 		sendsBuf:   make([][]comm.Msg, n),
 		offsetsBuf: make([]sim.Time, n),
 		runsBuf:    make([][]streamRun, n),
@@ -414,13 +423,13 @@ func (e *engine) checkDiscipline() error {
 // routeMIMD prices the step on an asynchronous machine, expanding
 // word streams into individual word messages in send order. The step is
 // built in engine-owned scratch; routers may hold views into it only until
-// their next Route call (they all reset per call).
+// their next Route call (they all reset per call). Each processor's send
+// list is sized once per step, to its exact message count, and reused
+// while it is large enough: a word stream expands to thousands of
+// messages, and growing the list by append would copy it about 20 times.
 func (e *engine) routeMIMD(barrier bool) {
 	w := e.m.WordBytes
 	sends := e.sendsBuf
-	for p := range sends {
-		sends[p] = sends[p][:0]
-	}
 	step := &e.stepBuf
 	*step = comm.Step{Sends: sends, Barrier: barrier}
 	base := math.Inf(1)
@@ -436,20 +445,26 @@ func (e *engine) routeMIMD(barrier bool) {
 		if offsets[p] > 0 {
 			any = true
 		}
+		n := 0
 		for _, m := range e.outboxes[p] {
-			if m.stream {
-				words := (len(m.payload) + w - 1) / w
-				for i := 0; i < words; i++ {
-					b := w
-					if i == words-1 {
-						b = len(m.payload) - (words-1)*w
-					}
-					sends[p] = append(sends[p], comm.Msg{Src: p, Dst: m.dst, Bytes: b})
-				}
-			} else {
-				sends[p] = append(sends[p], comm.Msg{Src: p, Dst: m.dst, Bytes: len(m.payload)})
-			}
+			n += m.parts(w)
 		}
+		if cap(sends[p]) < n {
+			sends[p] = make([]comm.Msg, n)
+		}
+		list := sends[p][:n]
+		k := 0
+		for _, m := range e.outboxes[p] {
+			// Every part but the last is one full word; a block is one
+			// part of its whole length.
+			parts := m.parts(w)
+			for i := range parts - 1 {
+				list[k+i] = comm.Msg{Src: p, Dst: m.dst, Bytes: w}
+			}
+			list[k+parts-1] = comm.Msg{Src: p, Dst: m.dst, Bytes: len(m.payload) - (parts-1)*w}
+			k += parts
+		}
+		sends[p] = list
 	}
 	if any {
 		step.Offsets = offsets
@@ -661,9 +676,7 @@ func (e *engine) deliver() {
 			buf := arena[off : off+len(m.payload) : off+len(m.payload)]
 			off += len(m.payload)
 			copy(buf, m.payload)
-			e.inboxes[m.dst] = append(e.inboxes[m.dst], comm.Msg{
-				Src: src, Dst: m.dst, Tag: m.tag, Bytes: len(buf), Payload: buf,
-			})
+			e.inboxes[m.dst] = append(e.inboxes[m.dst], Message{Src: src, Tag: m.tag, Payload: buf})
 		}
 		e.outboxes[src] = nil
 	}

@@ -3,7 +3,6 @@ package bsplib
 import (
 	"fmt"
 
-	"quantpar/internal/comm"
 	"quantpar/internal/machine"
 	"quantpar/internal/sim"
 )
@@ -179,10 +178,25 @@ func (c *Context) RecvFrom(src, tag int) []byte {
 	return nil
 }
 
-// RecvMsgs returns all messages delivered at the last Sync/Flush in
-// deterministic order. The returned slice is valid until this processor's
-// next Sync/Flush.
-func (c *Context) RecvMsgs() []comm.Msg {
+// Message is a message delivered to a processor: its source, the tag the
+// sender chose, and the payload.
+//
+// Ownership: the sender's payload was copied into an engine-owned delivery
+// buffer at the synchronization that carried it, so the sender may reuse
+// or mutate its own slice once that synchronization returns. Payload is a
+// view into the delivery buffer, valid only until the receiving
+// processor's next Sync/Flush: decode (copy) it before then, never retain
+// it.
+type Message struct {
+	Src     int
+	Tag     int
+	Payload []byte
+}
+
+// RecvMsgs returns all messages delivered at the last Sync/Flush, ordered
+// by source processor and send order. The returned slice and its payloads
+// are valid until this processor's next Sync/Flush.
+func (c *Context) RecvMsgs() []Message {
 	return c.e.inboxes[c.id]
 }
 

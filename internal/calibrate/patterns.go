@@ -14,13 +14,25 @@ import (
 	"quantpar/internal/sim"
 )
 
+// sendLists returns p send lists of n messages each, carved from one
+// backing array and capacity-capped so that no list can grow into the
+// next. The patterns fill them by index.
+func sendLists(p, n int) [][]comm.Msg {
+	backing := make([]comm.Msg, p*n)
+	lists := make([][]comm.Msg, p)
+	for src := range lists {
+		lists[src] = backing[src*n : (src+1)*n : (src+1)*n]
+	}
+	return lists
+}
+
 // RandomPermutation builds a full permutation step: every processor sends
 // one message of the given size to a distinct random destination.
 func RandomPermutation(p, bytes int, rng *sim.RNG) *comm.Step {
 	perm := rng.Perm(p)
-	step := &comm.Step{Sends: make([][]comm.Msg, p), Barrier: true}
+	step := &comm.Step{Sends: sendLists(p, 1), Barrier: true}
 	for src := 0; src < p; src++ {
-		step.Sends[src] = []comm.Msg{{Src: src, Dst: perm[src], Bytes: bytes}}
+		step.Sends[src][0] = comm.Msg{Src: src, Dst: perm[src], Bytes: bytes}
 	}
 	return step
 }
@@ -52,10 +64,9 @@ func OneToHRelation(p, h, bytes int, rng *sim.RNG) *comm.Step {
 	numDst := (p + h - 1) / h
 	dsts := rng.Sample(p, numDst)
 	order := rng.Perm(p)
-	step := &comm.Step{Sends: make([][]comm.Msg, p), Barrier: true}
+	step := &comm.Step{Sends: sendLists(p, 1), Barrier: true}
 	for i, src := range order {
-		d := dsts[i/h]
-		step.Sends[src] = []comm.Msg{{Src: src, Dst: d, Bytes: bytes}}
+		step.Sends[src][0] = comm.Msg{Src: src, Dst: dsts[i/h], Bytes: bytes}
 	}
 	return step
 }
@@ -64,11 +75,11 @@ func OneToHRelation(p, h, bytes int, rng *sim.RNG) *comm.Step {
 // exactly h messages and receives exactly h messages (the superposition of
 // h independent random permutations), the GCel/CM-5 calibration pattern.
 func FullHRelation(p, h, bytes int, rng *sim.RNG) *comm.Step {
-	step := &comm.Step{Sends: make([][]comm.Msg, p), Barrier: true}
+	step := &comm.Step{Sends: sendLists(p, h), Barrier: true}
 	for i := 0; i < h; i++ {
 		perm := rng.Perm(p)
 		for src := 0; src < p; src++ {
-			step.Sends[src] = append(step.Sends[src], comm.Msg{Src: src, Dst: perm[src], Bytes: bytes})
+			step.Sends[src][i] = comm.Msg{Src: src, Dst: perm[src], Bytes: bytes}
 		}
 	}
 	return step
@@ -92,10 +103,10 @@ func HHPermutation(p, h, bytes, barrierEvery int, rng *sim.RNG) []*comm.Step {
 		if n > remaining {
 			n = remaining
 		}
-		step := &comm.Step{Sends: make([][]comm.Msg, p), Barrier: barrierEvery > 0}
-		for src := 0; src < p; src++ {
-			for i := 0; i < n; i++ {
-				step.Sends[src] = append(step.Sends[src], comm.Msg{Src: src, Dst: perm[src], Bytes: bytes})
+		step := &comm.Step{Sends: sendLists(p, n), Barrier: barrierEvery > 0}
+		for src, list := range step.Sends {
+			for i := range list {
+				list[i] = comm.Msg{Src: src, Dst: perm[src], Bytes: bytes}
 			}
 		}
 		steps = append(steps, step)
@@ -123,9 +134,9 @@ func CubePermutation(p, bit, bytes int) *comm.Step {
 	if 1<<uint(bit) >= p {
 		panic(fmt.Sprintf("calibrate: bit %d out of range for p=%d", bit, p))
 	}
-	step := &comm.Step{Sends: make([][]comm.Msg, p), Barrier: true}
+	step := &comm.Step{Sends: sendLists(p, 1), Barrier: true}
 	for src := 0; src < p; src++ {
-		step.Sends[src] = []comm.Msg{{Src: src, Dst: src ^ (1 << uint(bit)), Bytes: bytes}}
+		step.Sends[src][0] = comm.Msg{Src: src, Dst: src ^ (1 << uint(bit)), Bytes: bytes}
 	}
 	return step
 }
@@ -142,7 +153,7 @@ func MultinodeScatter(p, srcs, h, bytes int, rng *sim.RNG) *comm.Step {
 	for _, s := range sources {
 		isSrc[s] = true
 	}
-	var targets []int
+	targets := make([]int, 0, p-srcs)
 	for i := 0; i < p; i++ {
 		if !isSrc[i] {
 			targets = append(targets, i)
@@ -151,11 +162,12 @@ func MultinodeScatter(p, srcs, h, bytes int, rng *sim.RNG) *comm.Step {
 	step := &comm.Step{Sends: make([][]comm.Msg, p), Barrier: true}
 	next := 0
 	for _, s := range sources {
-		for i := 0; i < h; i++ {
-			d := targets[next%len(targets)]
+		list := make([]comm.Msg, h)
+		for i := range list {
+			list[i] = comm.Msg{Src: s, Dst: targets[next%len(targets)], Bytes: bytes}
 			next++
-			step.Sends[s] = append(step.Sends[s], comm.Msg{Src: s, Dst: d, Bytes: bytes})
 		}
+		step.Sends[s] = list
 	}
 	return step
 }

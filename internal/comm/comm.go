@@ -2,10 +2,11 @@
 // simulators and the superstep engine: messages, communication steps (a set
 // of ordered per-processor send lists), and routing results.
 //
-// The routers never look at payload bytes; they price a step from the
-// (source, destination, size, order) structure alone. The engine delivers
-// payloads after the router has priced the step, so algorithm correctness
-// and cost modelling stay decoupled.
+// The routers price a step from its (source, destination, size, order)
+// structure alone, so a Msg carries nothing else: no tag and no payload.
+// The superstep engine keeps those on its own side and delivers payloads
+// after the router has priced the step, so algorithm correctness and cost
+// modelling stay decoupled.
 package comm
 
 import (
@@ -14,24 +15,12 @@ import (
 	"quantpar/internal/sim"
 )
 
-// Msg is one point-to-point message.
+// Msg is one point-to-point message as a router prices it: who sends it,
+// to whom, and how many bytes. It holds no pointer, so a step's send lists
+// cost the garbage collector nothing to scan.
 type Msg struct {
 	Src, Dst int
 	Bytes    int
-	// Tag distinguishes logical streams when a processor receives several
-	// messages in one step; algorithms choose tags.
-	Tag int
-	// Payload carries the actual data. It may be nil in microbenchmarks
-	// that only exercise the cost model.
-	//
-	// Ownership: the payload belongs to the sender until the step's barrier
-	// completes; the engine copies it into its own delivery buffers during
-	// routing, so a sender may reuse or mutate the backing array freely
-	// after the synchronization that carried the message. Receivers, in
-	// turn, get a view into an engine-owned delivery buffer that is valid
-	// only until the processor's next synchronization - decode (copy) it
-	// before then, never retain it.
-	Payload []byte
 }
 
 // Digest is a 128-bit canonical fingerprint of a communication pattern:

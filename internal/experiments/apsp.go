@@ -18,28 +18,21 @@ func init() {
 func apspSweep(ctx *Context, mk machineFactory, ns []int, seed uint64,
 	predict func(n int) (sim.Time, error), name string) (core.Series, error) {
 
-	type point struct{ meas, pred float64 }
-	pts, err := sweepGrid(ctx, mk, ns, func(m *machine.Machine, n int) (point, error) {
+	times, err := sweepGrid(ctx, mk, ns, 1, func(m *machine.Machine, n, _ int) (sim.Time, error) {
 		res, err := apsp.Run(m, apsp.Config{N: n, Seed: seed + uint64(n)})
 		if err != nil {
-			return point{}, err
+			return 0, err
 		}
-		pred, err := predict(n)
-		if err != nil {
-			return point{}, err
-		}
-		return point{meas: res.Run.Time, pred: pred}, nil
+		return res.Run.Time, nil
 	})
 	if err != nil {
 		return core.Series{}, err
 	}
-	s := core.Series{Name: name, XLabel: "N"}
-	for i, n := range ns {
-		s.Xs = append(s.Xs, float64(n))
-		s.Measured = append(s.Measured, pts[i].meas)
-		s.Predicted = append(s.Predicted, pts[i].pred)
+	series := []core.Series{{Name: name, XLabel: "N"}}
+	if err := splitGrid(series, ns, times, predict); err != nil {
+		return core.Series{}, err
 	}
-	return s, nil
+	return series[0], nil
 }
 
 func runFig12(ctx *Context) (*Outcome, error) {

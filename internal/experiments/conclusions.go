@@ -39,7 +39,7 @@ func runConcl1(ctx *Context) (*Outcome, error) {
 	for i := range idxs {
 		idxs[i] = i
 	}
-	times, err := sweepGrid(ctx, newMasPar, idxs, func(m *machine.Machine, i int) (float64, error) {
+	times, err := sweepGrid(ctx, newMasPar, idxs, 1, func(m *machine.Machine, i, _ int) (float64, error) {
 		res, err := bitonic.Run(m, pts[i].cfg)
 		if err != nil {
 			return 0, err

@@ -340,9 +340,14 @@ func (c *Context) sweeper(mk machineFactory) calibrate.Sweeper {
 	}}
 }
 
-// sweepGrid runs task once per value on worker-private machines built by
-// mk and returns the results in value order, independent of scheduling.
-func sweepGrid[T any](ctx *Context, mk machineFactory, vals []int, task func(m *machine.Machine, v int) (T, error)) ([]T, error) {
+// sweepGrid runs task for each of runs runs at every value, on
+// worker-private machines built by mk, as one point-major grid: the result
+// of run j at vals[i] is at index i*runs+j, independent of scheduling.
+// Runners submit all of their independent algorithm runs as one grid with
+// vals ascending: parsweep's workers claim the last task first, so the
+// longest runs start first and the short ones fill the tail instead of one
+// long run finishing while the other workers idle.
+func sweepGrid[T any](ctx *Context, mk machineFactory, vals []int, runs int, task func(m *machine.Machine, v, run int) (T, error)) ([]T, error) {
 	counted := func() (*machine.Machine, error) {
 		m, err := mk()
 		if err != nil {
@@ -354,8 +359,27 @@ func sweepGrid[T any](ctx *Context, mk machineFactory, vals []int, task func(m *
 		m.Router = countingRouter{Router: m.Router, sink: ctx.stats}
 		return m, nil
 	}
-	return parsweep.Run(parsweep.Workers(ctx.Workers), len(vals), counted,
-		func(m *machine.Machine, i int) (T, error) { return task(m, vals[i]) })
+	return parsweep.Run(parsweep.Workers(ctx.Workers), len(vals)*runs, counted,
+		func(m *machine.Machine, i int) (T, error) { return task(m, vals[i/runs], i%runs) })
+}
+
+// splitGrid appends a point-major grid of measurements (run j at vals[i]
+// at index i*len(series)+j) to one series per run, pairing each point with
+// predict(vals[i]).
+func splitGrid(series []core.Series, vals []int, meas []float64, predict func(v int) (float64, error)) error {
+	for i, v := range vals {
+		pred, err := predict(v)
+		if err != nil {
+			return err
+		}
+		for j := range series {
+			s := &series[j]
+			s.Xs = append(s.Xs, float64(v))
+			s.Measured = append(s.Measured, meas[i*len(series)+j])
+			s.Predicted = append(s.Predicted, pred)
+		}
+	}
+	return nil
 }
 
 func within(err, bound float64) bool {

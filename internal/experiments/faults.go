@@ -126,7 +126,7 @@ func runFigF1(ctx *Context) (*Outcome, error) {
 			slowdown float64
 			stats    comm.Stats
 		}
-		pts, err := sweepGrid(ctx, b.mk, idxs, func(m *machine.Machine, i int) (point, error) {
+		pts, err := sweepGrid(ctx, b.mk, idxs, 1, func(m *machine.Machine, i, _ int) (point, error) {
 			spec := faults.Spec{Seed: ctx.Seed ^ 0xF1A<<4 ^ uint64(i), DropRate: rates[i]}
 			s, st, err := degradePoint(m, spec, 64, base.Split(uint64(i)))
 			return point{s, st}, err
@@ -209,7 +209,7 @@ func runFigF2(ctx *Context) (*Outcome, error) {
 	for bi, b := range backends {
 		base := sim.NewRNG(ctx.Seed ^ 0xF2 ^ uint64(bi)<<8)
 		kills := b.kills
-		pts, err := sweepGrid(ctx, b.mk, killCounts, func(m *machine.Machine, k int) (float64, error) {
+		pts, err := sweepGrid(ctx, b.mk, killCounts, 1, func(m *machine.Machine, k, _ int) (float64, error) {
 			lk, err := kills(k)
 			if err != nil {
 				return 0, err
@@ -258,7 +258,7 @@ func runFigF3(ctx *Context) (*Outcome, error) {
 	for bi, b := range backends {
 		base := sim.NewRNG(ctx.Seed ^ 0xF3 ^ uint64(bi)<<8)
 		dur := b.stallFor
-		pts, err := sweepGrid(ctx, b.mk, stallCounts, func(m *machine.Machine, k int) (float64, error) {
+		pts, err := sweepGrid(ctx, b.mk, stallCounts, 1, func(m *machine.Machine, k, _ int) (float64, error) {
 			stalls := make([]faults.Stall, 0, k)
 			for i := 0; i < k; i++ {
 				// Spread the stalled processors across the machine and

@@ -18,33 +18,34 @@ func init() {
 	register("fig20", "Fig 20: model matmuls vs CMSSL gen_matrix_mult on the CM-5", runFig20)
 }
 
-// runMatMulSweep executes one variant over the sweep on worker-private
-// machines and returns measured times alongside the given predictor.
-func runMatMulSweep(ctx *Context, mk machineFactory, q int, ns []int, v matmul.Variant, seed uint64,
-	predict func(n int) (sim.Time, error), name string) (core.Series, error) {
+// matmulSeries is one matmul variant a sweep compares and the name of its
+// series.
+type matmulSeries struct {
+	variant matmul.Variant
+	name    string
+}
 
-	type point struct{ meas, pred float64 }
-	pts, err := sweepGrid(ctx, mk, ns, func(m *machine.Machine, n int) (point, error) {
-		res, err := matmul.Run(m, matmul.Config{N: n, Q: q, Variant: v, Seed: seed + uint64(n)})
+// runMatMulSweep measures every variant at every size in ns, as one grid on
+// worker-private machines, and returns one series per variant with its
+// measured times alongside the given predictor.
+func runMatMulSweep(ctx *Context, mk machineFactory, q int, ns []int, seed uint64,
+	predict func(n int) (sim.Time, error), variants ...matmulSeries) ([]core.Series, error) {
+
+	times, err := sweepGrid(ctx, mk, ns, len(variants), func(m *machine.Machine, n, j int) (sim.Time, error) {
+		res, err := matmul.Run(m, matmul.Config{N: n, Q: q, Variant: variants[j].variant, Seed: seed + uint64(n)})
 		if err != nil {
-			return point{}, err
+			return 0, err
 		}
-		pred, err := predict(n)
-		if err != nil {
-			return point{}, err
-		}
-		return point{meas: res.Run.Time, pred: pred}, nil
+		return res.Run.Time, nil
 	})
 	if err != nil {
-		return core.Series{}, err
+		return nil, err
 	}
-	s := core.Series{Name: name, XLabel: "N"}
-	for i, n := range ns {
-		s.Xs = append(s.Xs, float64(n))
-		s.Measured = append(s.Measured, pts[i].meas)
-		s.Predicted = append(s.Predicted, pts[i].pred)
+	series := make([]core.Series, len(variants))
+	for j, v := range variants {
+		series[j] = core.Series{Name: v.name, XLabel: "N"}
 	}
-	return s, nil
+	return series, splitGrid(series, ns, times, predict)
 }
 
 func runFig03(ctx *Context) (*Outcome, error) {
@@ -59,12 +60,13 @@ func runFig03(ctx *Context) (*Outcome, error) {
 		return nil, err
 	}
 	ns := ctx.sweep([]int{64, 128, 256}, []int{64, 128, 192, 256, 320, 448, 512})
-	s, err := runMatMulSweep(ctx, newMasPar, q, ns, matmul.BSPStaggered, ctx.Seed,
+	series, err := runMatMulSweep(ctx, newMasPar, q, ns, ctx.Seed,
 		func(n int) (sim.Time, error) { return core.PredictMatMulMPBSP(md.mpbsp, md.costs, n) },
-		"MP-BSP matmul (measured vs predicted)")
+		matmulSeries{matmul.BSPStaggered, "MP-BSP matmul (measured vs predicted)"})
 	if err != nil {
 		return nil, err
 	}
+	s := series[0]
 	out.Series = append(out.Series, s)
 	out.check("prediction within reasonable band", s.MaxAbsRelErr() < 0.45,
 		"max |rel err| %.0f%% (paper <14%%)", 100*s.MaxAbsRelErr())
@@ -86,16 +88,13 @@ func runFig04(ctx *Context) (*Outcome, error) {
 	}
 	ns := ctx.sweep([]int{64, 128, 256}, []int{32, 64, 128, 256, 512})
 	predict := func(n int) (sim.Time, error) { return core.PredictMatMulBSP(md.bsp, md.costs, n) }
-	unstag, err := runMatMulSweep(ctx, newCM5, q, ns, matmul.BSPUnstaggered, ctx.Seed, predict,
-		"BSP matmul unstaggered (measured vs predicted)")
+	series, err := runMatMulSweep(ctx, newCM5, q, ns, ctx.Seed, predict,
+		matmulSeries{matmul.BSPUnstaggered, "BSP matmul unstaggered (measured vs predicted)"},
+		matmulSeries{matmul.BSPStaggered, "BSP matmul staggered (measured vs predicted)"})
 	if err != nil {
 		return nil, err
 	}
-	stag, err := runMatMulSweep(ctx, newCM5, q, ns, matmul.BSPStaggered, ctx.Seed, predict,
-		"BSP matmul staggered (measured vs predicted)")
-	if err != nil {
-		return nil, err
-	}
+	unstag, stag := series[0], series[1]
 	out.Series = append(out.Series, unstag, stag)
 	last := len(ns) - 1
 	penalty := unstag.Measured[last]/stag.Measured[last] - 1
@@ -120,12 +119,13 @@ func runFig08(ctx *Context) (*Outcome, error) {
 		return nil, err
 	}
 	ns := ctx.sweep([]int{64, 128, 256}, []int{64, 128, 192, 256, 320, 448, 512})
-	s, err := runMatMulSweep(ctx, newMasPar, q, ns, matmul.BPRAM, ctx.Seed,
+	series, err := runMatMulSweep(ctx, newMasPar, q, ns, ctx.Seed,
 		func(n int) (sim.Time, error) { return core.PredictMatMulBPRAM(md.bpram, md.costs, n) },
-		"MP-BPRAM matmul (measured vs predicted)")
+		matmulSeries{matmul.BPRAM, "MP-BPRAM matmul (measured vs predicted)"})
 	if err != nil {
 		return nil, err
 	}
+	s := series[0]
 	out.Series = append(out.Series, s)
 	// The staggered block permutations of the matmul establish circuits
 	// with fewer conflicts than the random permutations sigma was fitted
@@ -147,12 +147,13 @@ func runFig09(ctx *Context) (*Outcome, error) {
 		return nil, err
 	}
 	ns := ctx.sweep([]int{32, 128, 256}, []int{32, 64, 128, 256, 512})
-	s, err := runMatMulSweep(ctx, newCM5, q, ns, matmul.BPRAM, ctx.Seed,
+	series, err := runMatMulSweep(ctx, newCM5, q, ns, ctx.Seed,
 		func(n int) (sim.Time, error) { return core.PredictMatMulBPRAM(md.bpram, md.costs, n) },
-		"MP-BPRAM matmul (measured vs predicted)")
+		matmulSeries{matmul.BPRAM, "MP-BPRAM matmul (measured vs predicted)"})
 	if err != nil {
 		return nil, err
 	}
+	s := series[0]
 	out.Series = append(out.Series, s)
 	// Mid-range accuracy; small N errs through the local-compute model.
 	mid := len(s.Xs) - 1
@@ -167,17 +168,13 @@ func runFig16(ctx *Context) (*Outcome, error) {
 	out := &Outcome{ID: "fig16", Title: "BSP vs MP-BPRAM matmul rates on the CM-5"}
 	const q = 4
 	ns := ctx.sweep([]int{128, 256}, []int{64, 128, 256, 512})
-	type rates struct{ bpram, bsp float64 }
-	pts, err := sweepGrid(ctx, newCM5, ns, func(m *machine.Machine, n int) (rates, error) {
-		rb, err := matmul.Run(m, matmul.Config{N: n, Q: q, Variant: matmul.BPRAM, Seed: ctx.Seed})
+	variants := []matmul.Variant{matmul.BPRAM, matmul.BSPStaggered}
+	rates, err := sweepGrid(ctx, newCM5, ns, len(variants), func(m *machine.Machine, n, j int) (float64, error) {
+		res, err := matmul.Run(m, matmul.Config{N: n, Q: q, Variant: variants[j], Seed: ctx.Seed})
 		if err != nil {
-			return rates{}, err
+			return 0, err
 		}
-		rs, err := matmul.Run(m, matmul.Config{N: n, Q: q, Variant: matmul.BSPStaggered, Seed: ctx.Seed})
-		if err != nil {
-			return rates{}, err
-		}
-		return rates{bpram: rb.Mflops, bsp: rs.Mflops}, nil
+		return res.Mflops, nil
 	})
 	if err != nil {
 		return nil, err
@@ -185,8 +182,8 @@ func runFig16(ctx *Context) (*Outcome, error) {
 	s := core.Series{Name: "Mflops: MP-BPRAM (measured) vs staggered BSP (measured)", XLabel: "N"}
 	for i, n := range ns {
 		s.Xs = append(s.Xs, float64(n))
-		s.Measured = append(s.Measured, pts[i].bpram)
-		s.Predicted = append(s.Predicted, pts[i].bsp)
+		s.Measured = append(s.Measured, rates[2*i])
+		s.Predicted = append(s.Predicted, rates[2*i+1])
 	}
 	out.Series = append(out.Series, s)
 	last := len(ns) - 1
@@ -202,7 +199,7 @@ func runFig19(ctx *Context) (*Outcome, error) {
 	const q = 10 // 1000 of 1024 PEs: the paper's N=700 runs need q^2 | N
 	ns := ctx.sweep([]int{200, 400}, []int{100, 200, 300, 400, 500, 600, 700})
 	type rates struct{ model, intrinsic float64 }
-	pts, err := sweepGrid(ctx, newMasPar, ns, func(m *machine.Machine, n int) (rates, error) {
+	pts, err := sweepGrid(ctx, newMasPar, ns, 1, func(m *machine.Machine, n, _ int) (rates, error) {
 		rb, err := matmul.Run(m, matmul.Config{N: n, Q: q, Variant: matmul.BPRAM, Seed: ctx.Seed})
 		if err != nil {
 			return rates{}, err
@@ -244,7 +241,7 @@ func runFig20(ctx *Context) (*Outcome, error) {
 	ns := ctx.sweep([]int{128, 256}, []int{64, 128, 256, 512})
 	cfg := vendorlib.DefaultCMSSL()
 	type rates struct{ model, cmssl float64 }
-	pts, err := sweepGrid(ctx, newCM5, ns, func(m *machine.Machine, n int) (rates, error) {
+	pts, err := sweepGrid(ctx, newCM5, ns, 1, func(m *machine.Machine, n, _ int) (rates, error) {
 		rb, err := matmul.Run(m, matmul.Config{N: n, Q: q, Variant: matmul.BPRAM, Seed: ctx.Seed})
 		if err != nil {
 			return rates{}, err

@@ -17,29 +17,37 @@ func init() {
 	register("fig18", "Fig 18: bitonic vs sample sort on the GCel", runFig18)
 }
 
-// bitonicSweep measures time-per-key over keys-per-processor values, one
-// worker-private machine per task.
-func bitonicSweep(ctx *Context, mk machineFactory, mms []int, v bitonic.Variant, barrierEvery int, seed uint64,
-	predict func(mm int) sim.Time, name string) (core.Series, error) {
+// bitonicSeries is one bitonic configuration a sweep compares (a variant
+// and its barrier interval) and the name of its series.
+type bitonicSeries struct {
+	variant      bitonic.Variant
+	barrierEvery int
+	name         string
+}
 
-	perKey, err := sweepGrid(ctx, mk, mms, func(m *machine.Machine, mm int) (float64, error) {
-		res, err := bitonic.Run(m, bitonic.Config{KeysPerProc: mm, Variant: v, BarrierEvery: barrierEvery,
-			Seed: seed + uint64(mm)})
+// bitonicSweep measures time-per-key of every configuration over
+// keys-per-processor values, as one grid on worker-private machines, and
+// returns one series per configuration against predict's time per key.
+func bitonicSweep(ctx *Context, mk machineFactory, mms []int, seed uint64,
+	predict func(mm int) sim.Time, configs ...bitonicSeries) ([]core.Series, error) {
+
+	perKey, err := sweepGrid(ctx, mk, mms, len(configs), func(m *machine.Machine, mm, j int) (float64, error) {
+		res, err := bitonic.Run(m, bitonic.Config{KeysPerProc: mm, Variant: configs[j].variant,
+			BarrierEvery: configs[j].barrierEvery, Seed: seed + uint64(mm)})
 		if err != nil {
 			return 0, err
 		}
 		return res.TimePerKey, nil
 	})
 	if err != nil {
-		return core.Series{}, err
+		return nil, err
 	}
-	s := core.Series{Name: name, XLabel: "keys/proc"}
-	for i, mm := range mms {
-		s.Xs = append(s.Xs, float64(mm))
-		s.Measured = append(s.Measured, perKey[i])
-		s.Predicted = append(s.Predicted, predict(mm)/sim.Time(mm))
+	series := make([]core.Series, len(configs))
+	for j, c := range configs {
+		series[j] = core.Series{Name: c.name, XLabel: "keys/proc"}
 	}
-	return s, nil
+	return series, splitGrid(series, mms, perKey,
+		func(mm int) (float64, error) { return predict(mm) / sim.Time(mm), nil })
 }
 
 func runFig05(ctx *Context) (*Outcome, error) {
@@ -53,12 +61,13 @@ func runFig05(ctx *Context) (*Outcome, error) {
 		return nil, err
 	}
 	mms := ctx.sweep([]int{16, 64}, []int{4, 16, 64, 256, 1024})
-	s, err := bitonicSweep(ctx, newMasPar, mms, bitonic.Word, 0, ctx.Seed,
+	series, err := bitonicSweep(ctx, newMasPar, mms, ctx.Seed,
 		func(mm int) sim.Time { return core.PredictBitonicMPBSP(md.mpbsp, md.costs, mm*m.P()) },
-		"bitonic time/key (measured vs MP-BSP prediction)")
+		bitonicSeries{bitonic.Word, 0, "bitonic time/key (measured vs MP-BSP prediction)"})
 	if err != nil {
 		return nil, err
 	}
+	s := series[0]
 	out.Series = append(out.Series, s)
 	last := len(s.Xs) - 1
 	ratio := s.Predicted[last] / s.Measured[last]
@@ -80,16 +89,13 @@ func runFig06(ctx *Context) (*Outcome, error) {
 	}
 	predict := func(mm int) sim.Time { return core.PredictBitonicBSP(md.bsp, md.costs, mm*m.P()) }
 	mms := ctx.sweep([]int{256, 512}, []int{128, 256, 512, 1024, 2048, 4096})
-	unsync, err := bitonicSweep(ctx, newGCel, mms, bitonic.Word, 0, ctx.Seed, predict,
-		"bitonic time/key unsynchronized (measured vs BSP prediction)")
+	series, err := bitonicSweep(ctx, newGCel, mms, ctx.Seed, predict,
+		bitonicSeries{bitonic.Word, 0, "bitonic time/key unsynchronized (measured vs BSP prediction)"},
+		bitonicSeries{bitonic.Word, 256, "bitonic time/key synchronized every 256 (measured vs BSP prediction)"})
 	if err != nil {
 		return nil, err
 	}
-	synced, err := bitonicSweep(ctx, newGCel, mms, bitonic.Word, 256, ctx.Seed, predict,
-		"bitonic time/key synchronized every 256 (measured vs BSP prediction)")
-	if err != nil {
-		return nil, err
-	}
+	unsync, synced := series[0], series[1]
 	out.Series = append(out.Series, unsync, synced)
 	last := len(mms) - 1
 	out.check("synchronized version matches the prediction", within(synced.RelErrAt(last), 0.20),
@@ -110,12 +116,13 @@ func runFig10(ctx *Context) (*Outcome, error) {
 		return nil, err
 	}
 	mms := ctx.sweep([]int{64, 256}, []int{16, 64, 256, 1024, 4096})
-	s, err := bitonicSweep(ctx, newMasPar, mms, bitonic.Block, 0, ctx.Seed,
+	series, err := bitonicSweep(ctx, newMasPar, mms, ctx.Seed,
 		func(mm int) sim.Time { return core.PredictBitonicBPRAM(md.bpram, md.costs, mm*m.P()) },
-		"bitonic time/key (measured vs MP-BPRAM prediction)")
+		bitonicSeries{bitonic.Block, 0, "bitonic time/key (measured vs MP-BPRAM prediction)"})
 	if err != nil {
 		return nil, err
 	}
+	s := series[0]
 	out.Series = append(out.Series, s)
 	last := len(s.Xs) - 1
 	ratio := s.Predicted[last] / s.Measured[last]
@@ -136,12 +143,13 @@ func runFig11(ctx *Context) (*Outcome, error) {
 		return nil, err
 	}
 	mms := ctx.sweep([]int{512, 2048}, []int{128, 512, 2048, 4096, 8192})
-	s, err := bitonicSweep(ctx, newGCel, mms, bitonic.Block, 0, ctx.Seed,
+	series, err := bitonicSweep(ctx, newGCel, mms, ctx.Seed,
 		func(mm int) sim.Time { return core.PredictBitonicBPRAM(md.bpram, md.costs, mm*m.P()) },
-		"bitonic time/key (measured vs MP-BPRAM prediction)")
+		bitonicSeries{bitonic.Block, 0, "bitonic time/key (measured vs MP-BPRAM prediction)"})
 	if err != nil {
 		return nil, err
 	}
+	s := series[0]
 	out.Series = append(out.Series, s)
 	out.check("estimates nearly coincide with measurements", s.MaxAbsRelErr() < 0.15,
 		"max |rel err| %.1f%% (paper: almost coincident)", 100*s.MaxAbsRelErr())
@@ -151,17 +159,13 @@ func runFig11(ctx *Context) (*Outcome, error) {
 func runFig17(ctx *Context) (*Outcome, error) {
 	out := &Outcome{ID: "fig17", Title: "MP-BSP vs MP-BPRAM bitonic on the MasPar"}
 	mms := ctx.sweep([]int{16, 64}, []int{4, 16, 64, 256, 1024})
-	type perKey struct{ block, word float64 }
-	pts, err := sweepGrid(ctx, newMasPar, mms, func(m *machine.Machine, mm int) (perKey, error) {
-		rb, err := bitonic.Run(m, bitonic.Config{KeysPerProc: mm, Variant: bitonic.Block, Seed: ctx.Seed})
+	variants := []bitonic.Variant{bitonic.Block, bitonic.Word}
+	perKey, err := sweepGrid(ctx, newMasPar, mms, len(variants), func(m *machine.Machine, mm, j int) (float64, error) {
+		res, err := bitonic.Run(m, bitonic.Config{KeysPerProc: mm, Variant: variants[j], Seed: ctx.Seed})
 		if err != nil {
-			return perKey{}, err
+			return 0, err
 		}
-		rw, err := bitonic.Run(m, bitonic.Config{KeysPerProc: mm, Variant: bitonic.Word, Seed: ctx.Seed})
-		if err != nil {
-			return perKey{}, err
-		}
-		return perKey{block: rb.TimePerKey, word: rw.TimePerKey}, nil
+		return res.TimePerKey, nil
 	})
 	if err != nil {
 		return nil, err
@@ -169,8 +173,8 @@ func runFig17(ctx *Context) (*Outcome, error) {
 	s := core.Series{Name: "bitonic time/key: MP-BPRAM (measured) vs MP-BSP (measured)", XLabel: "keys/proc"}
 	for i, mm := range mms {
 		s.Xs = append(s.Xs, float64(mm))
-		s.Measured = append(s.Measured, pts[i].block)
-		s.Predicted = append(s.Predicted, pts[i].word)
+		s.Measured = append(s.Measured, perKey[2*i])
+		s.Predicted = append(s.Predicted, perKey[2*i+1])
 	}
 	out.Series = append(out.Series, s)
 	last := len(mms) - 1
@@ -190,21 +194,22 @@ func runFig18(ctx *Context) (*Outcome, error) {
 	// 21*sigma*w*M and sample sort finally wins - a crossover the paper's
 	// own cost expressions imply but its figure does not reach.
 	mms := ctx.sweep([]int{1024}, []int{512, 1024, 2048, 4096})
-	type perKey struct{ bitonicT, padded, staggered float64 }
-	pts, err := sweepGrid(ctx, newGCel, mms, func(m *machine.Machine, mm int) (perKey, error) {
-		rb, err := bitonic.Run(m, bitonic.Config{KeysPerProc: mm, Variant: bitonic.Block, Seed: ctx.Seed})
-		if err != nil {
-			return perKey{}, err
+	// Run 0 is bitonic sort; runs 1 and 2 are the padded and staggered
+	// sample sorts.
+	sorts := []samplesort.Variant{samplesort.Padded, samplesort.Staggered}
+	perKey, err := sweepGrid(ctx, newGCel, mms, 1+len(sorts), func(m *machine.Machine, mm, j int) (float64, error) {
+		if j == 0 {
+			res, err := bitonic.Run(m, bitonic.Config{KeysPerProc: mm, Variant: bitonic.Block, Seed: ctx.Seed})
+			if err != nil {
+				return 0, err
+			}
+			return res.TimePerKey, nil
 		}
-		rp, err := samplesort.Run(m, samplesort.Config{KeysPerProc: mm, Oversample: 32, Variant: samplesort.Padded, Seed: ctx.Seed})
+		res, err := samplesort.Run(m, samplesort.Config{KeysPerProc: mm, Oversample: 32, Variant: sorts[j-1], Seed: ctx.Seed})
 		if err != nil {
-			return perKey{}, err
+			return 0, err
 		}
-		rs, err := samplesort.Run(m, samplesort.Config{KeysPerProc: mm, Oversample: 32, Variant: samplesort.Staggered, Seed: ctx.Seed})
-		if err != nil {
-			return perKey{}, err
-		}
-		return perKey{bitonicT: rb.TimePerKey, padded: rp.TimePerKey, staggered: rs.TimePerKey}, nil
+		return res.TimePerKey, nil
 	})
 	if err != nil {
 		return nil, err
@@ -212,12 +217,13 @@ func runFig18(ctx *Context) (*Outcome, error) {
 	bitVs := core.Series{Name: "time/key: padded sample sort (measured) vs bitonic (measured)", XLabel: "keys/proc"}
 	stag := core.Series{Name: "time/key: staggered sample sort (measured) vs padded (measured)", XLabel: "keys/proc"}
 	for i, mm := range mms {
+		bitonicT, padded, staggered := perKey[3*i], perKey[3*i+1], perKey[3*i+2]
 		bitVs.Xs = append(bitVs.Xs, float64(mm))
-		bitVs.Measured = append(bitVs.Measured, pts[i].padded)
-		bitVs.Predicted = append(bitVs.Predicted, pts[i].bitonicT)
+		bitVs.Measured = append(bitVs.Measured, padded)
+		bitVs.Predicted = append(bitVs.Predicted, bitonicT)
 		stag.Xs = append(stag.Xs, float64(mm))
-		stag.Measured = append(stag.Measured, pts[i].staggered)
-		stag.Predicted = append(stag.Predicted, pts[i].padded)
+		stag.Measured = append(stag.Measured, staggered)
+		stag.Predicted = append(stag.Predicted, padded)
 	}
 	out.Series = append(out.Series, bitVs, stag)
 	// Anchor the comparisons mid-sweep (the paper discusses 4K keys and

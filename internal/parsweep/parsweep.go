@@ -20,7 +20,10 @@
 //     qpvet rngstream check flags violations.
 //
 // With Workers(1) the engine degenerates to an inline loop on the calling
-// goroutine - exactly the historical serial path.
+// goroutine - exactly the historical serial path. Parallel workers claim
+// tasks from the last index down: callers list their grids in ascending
+// size, so the longest runs start first and the short ones fill the tail.
+// Like a BSP superstep, a grid takes as long as its slowest worker.
 package parsweep
 
 import (
@@ -86,7 +89,8 @@ func Workers(j int) int {
 // lowest-numbered rule, on the serial and parallel paths alike.
 //
 // workers <= 1 (or n <= 1) runs every task inline on one resource with no
-// goroutines: the serial path.
+// goroutines, in index order: the serial path. Parallel workers claim
+// tasks from n-1 down to 0.
 func Run[R, T any](workers, n int, factory func() (R, error), task func(res R, i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	if n == 0 {
@@ -131,8 +135,8 @@ func Run[R, T any](workers, n int, factory func() (R, error), task func(res R, i
 			defer wg.Done()
 			res, ferr := factory()
 			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
+				i := n - int(next.Add(1))
+				if i < 0 {
 					return
 				}
 				if ferr != nil {
@@ -155,11 +159,4 @@ func Run[R, T any](workers, n int, factory func() (R, error), task func(res R, i
 		return nil, firstErr
 	}
 	return out, nil
-}
-
-// Map is Run without per-worker resources, for tasks that construct
-// everything they need from their index.
-func Map[T any](workers, n int, task func(i int) (T, error)) ([]T, error) {
-	return Run(workers, n, func() (struct{}, error) { return struct{}{}, nil },
-		func(_ struct{}, i int) (T, error) { return task(i) })
 }

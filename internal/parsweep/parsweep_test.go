@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -140,14 +141,47 @@ func TestRunEmptyAndSingle(t *testing.T) {
 	}
 }
 
-func TestMap(t *testing.T) {
-	out, err := Map(4, 20, func(i int) (int, error) { return 2 * i, nil })
+// TestRunClaimOrder: parallel workers claim the last task first, so the
+// largest runs of an ascending grid start first; the serial path keeps
+// index order.
+func TestRunClaimOrder(t *testing.T) {
+	const n = 10
+	var (
+		mu      sync.Mutex
+		order   []int
+		started sync.WaitGroup
+	)
+	started.Add(2)
+	_, err := Run(2, n,
+		func() (int, error) { return 0, nil },
+		func(_ int, i int) (int, error) {
+			mu.Lock()
+			order = append(order, i)
+			first := len(order) <= 2
+			mu.Unlock()
+			if first {
+				// Neither worker claims again before both first tasks run.
+				started.Done()
+				started.Wait()
+			}
+			return i, nil
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, v := range out {
-		if v != 2*i {
-			t.Fatalf("out[%d] = %d", i, v)
+	if lo, hi := min(order[0], order[1]), max(order[0], order[1]); lo != n-2 || hi != n-1 {
+		t.Fatalf("2 workers claimed %v first, want tasks %d and %d", order[:2], n-1, n-2)
+	}
+
+	order = order[:0]
+	if _, err := Run(1, n,
+		func() (int, error) { return 0, nil },
+		func(_ int, i int) (int, error) { order = append(order, i); return i, nil }); err != nil {
+		t.Fatal(err)
+	}
+	for i := range n {
+		if i >= len(order) || order[i] != i {
+			t.Fatalf("serial path ran %v, want index order", order)
 		}
 	}
 }

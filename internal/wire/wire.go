@@ -1,5 +1,5 @@
-// Package wire converts between typed payloads and the byte slices carried
-// by comm.Msg. All encodings are little-endian fixed-width words, matching
+// Package wire converts between typed payloads and the byte slices that
+// bsplib programs send and receive. All encodings are little-endian fixed-width words, matching
 // the 4-byte computational word the paper assumes on the MasPar and GCel
 // and the 8-byte double-precision word on the CM-5.
 //
