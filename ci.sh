@@ -7,11 +7,14 @@
 #   3. the full test suite passes under the race detector with shuffled
 #      test order (-shuffle=on), so no test depends on a sibling running
 #      first, and the superstep engine's tests pass ten more times under
-#      it, so a rare interleaving of its processor goroutines gets caught;
-#   4. qpvet (internal/analysis) reports no determinism, buffer-lease,
-#      sim.Time, RNG-stream, fault-RNG, or artifact-encoding violations
-#      anywhere in the module, and no //qpvet:ignore directive has gone
-#      stale;
+#      it, so a rare interleaving of its processor goroutines gets caught.
+#      The race build also poisons every released bsplib buffer, so a
+#      program that reads a lease or delivery view past its Sync fails
+#      its own verification. internal/analysis starts no goroutine, so
+#      its tests run shuffled without the detector;
+#   4. qpvet (internal/analysis) reports no determinism, sim.Time,
+#      RNG-stream, fault-RNG, or artifact-encoding violations anywhere in
+#      the module, and no //qpvet:ignore directive has gone stale;
 #   5. the fault-injection contract holds: every registered backend
 #      converges under the fixed conformance fault schedule with
 #      byte-identical twin runs and structured errors for partitions,
@@ -85,7 +88,8 @@ stage "go test -race -shuffle=on ./..."
 # (parallel/serial and cache-on/off equivalence) and runs close to the
 # default 10-minute per-package budget under the race detector when the
 # whole suite shares the machine, so the budget is raised explicitly.
-go test -race -shuffle=on -timeout 1800s ./...
+go test -race -shuffle=on -timeout 1800s $(go list ./... | grep -v '/internal/analysis$')
+go test -shuffle=on ./internal/analysis/
 go test -race -count=10 ./internal/bsplib/
 
 stage "qpvet ./..."

@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/token"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -205,7 +206,8 @@ func keys(m map[string]bool) []string {
 }
 
 // TestPatternExpansion checks tree-walk pattern semantics: testdata is
-// excluded from "./..." walks but loadable directly.
+// excluded from "./..." walks but loadable directly, and a walk finds the
+// packages nested under a directory that holds no Go files itself.
 func TestPatternExpansion(t *testing.T) {
 	w, err := Load("../..", []string{"./internal/analysis/..."})
 	if err != nil {
@@ -216,16 +218,20 @@ func TestPatternExpansion(t *testing.T) {
 			t.Errorf("tree walk included testdata package %s", pkg.Path)
 		}
 	}
-	if len(w.Targets) != 2 {
-		t.Errorf("expected the analysis and analysis/flow packages, got %d targets", len(w.Targets))
+	if len(w.Targets) != 1 {
+		t.Errorf("expected the analysis package alone, got %d targets", len(w.Targets))
 	}
-	foundFlow := false
+
+	w, err = Load("../..", []string{"./internal/router/..."})
+	if err != nil {
+		t.Fatalf("loading subtree: %v", err)
+	}
+	var got []string
 	for _, pkg := range w.Targets {
-		if strings.HasSuffix(pkg.Path, "/analysis/flow") {
-			foundFlow = true
-		}
+		got = append(got, strings.TrimPrefix(pkg.Path, w.ModulePath+"/internal/router/"))
 	}
-	if !foundFlow {
-		t.Error("tree walk missed the analysis/flow subpackage")
+	slices.Sort(got)
+	if want := []string{"fattree", "maspar", "mesh"}; !slices.Equal(got, want) {
+		t.Errorf("tree walk under internal/router found %v, want %v", got, want)
 	}
 }

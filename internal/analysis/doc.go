@@ -36,13 +36,9 @@
 //     pointer/channel/function fields are flagged at vet time, before a
 //     schema change breaks artifact byte-determinism.
 //
-//   - buflease: the flow-sensitive buffer-ownership check. Built on the
-//     intra-procedural CFG and forward-dataflow engine in the flow
-//     subpackage, it tracks bsplib PayloadBuf leases and delivery views
-//     through branches, loops, defers, and one-level call summaries, and
-//     reports cross-Sync retention of superstep-scoped buffers, lease
-//     escapes to fields/globals/containers, and goroutine captures
-//     (DESIGN.md §11).
+// bsplib's buffer lifetimes are checked at run time instead: race builds
+// overwrite every released lease and delivery view with poison (DESIGN.md
+// §11).
 //
 // # Suppression
 //

@@ -44,10 +44,6 @@ type World struct {
 	// modulePkgs indexes every loaded module package (targets and
 	// module-internal dependencies) by import path.
 	modulePkgs map[string]*Package
-
-	// leaseSummaries caches buflease's one-level call summaries, built
-	// lazily by LeaseSummaries on first use.
-	leaseSummaries map[*types.Func]*leaseSummary
 }
 
 // SimPath returns the import path of the simulation kernel package.

@@ -668,8 +668,9 @@ func (e *engine) deliver() {
 	arena := e.arenas[e.cur]
 	if cap(arena) < total {
 		arena = make([]byte, total)
-		e.arenas[e.cur] = arena
 	}
+	arena = arena[:total]
+	e.arenas[e.cur] = arena
 	off := 0
 	for src := 0; src < e.n; src++ {
 		for _, m := range e.outboxes[src] {
@@ -679,5 +680,25 @@ func (e *engine) deliver() {
 			e.inboxes[m.dst] = append(e.inboxes[m.dst], Message{Src: src, Tag: m.tag, Payload: buf})
 		}
 		e.outboxes[src] = nil
+	}
+	// The previous step's views die as their receivers leave this Sync,
+	// and any forwarded among them were copied above.
+	poison(e.arenas[e.cur^1])
+}
+
+// poisonByte is what a race build writes over released payload bytes.
+const poisonByte = 0xA5
+
+// poison overwrites a released lease or delivery arena in race builds. A
+// program that reads a buffer past its release point then decodes poison
+// and fails its own verification; a goroutine still holding one races with
+// this write. Other builds compile nothing here.
+func poison(b []byte) {
+	if !raceEnabled || len(b) == 0 {
+		return
+	}
+	b[0] = poisonByte
+	for n := 1; n < len(b); n *= 2 {
+		copy(b[n:], b[:n])
 	}
 }

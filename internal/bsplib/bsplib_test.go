@@ -3,6 +3,7 @@ package bsplib
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -446,6 +447,10 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestContextGuards runs programs that misuse the Context on a SIMD and a
+// MIMD machine: each must fail with the panic of processor 0, the lowest
+// processor that made the mistake. A NaN or +Inf charge is no time, so it
+// must not be dropped or priced as an infinite step.
 func TestContextGuards(t *testing.T) {
 	r := &fakeRouter{procs: 2, base: 1, msgCost: 1}
 	cases := []struct {
@@ -455,11 +460,16 @@ func TestContextGuards(t *testing.T) {
 		{"bad destination", func(ctx *Context) { ctx.Send(99, 1, []byte("x")) }},
 		{"empty payload", func(ctx *Context) { ctx.Send(0, 1, nil) }},
 		{"negative charge", func(ctx *Context) { ctx.Charge(-1) }},
+		{"NaN charge", func(ctx *Context) { ctx.Charge(math.NaN()) }},
+		{"+Inf charge", func(ctx *Context) { ctx.Charge(math.Inf(1)) }},
 		{"negative ops", func(ctx *Context) { ctx.ChargeOps(-1) }},
 	}
-	for _, c := range cases {
-		if _, err := Run(fakeMachine(2, false, r), c.prog, Options{Seed: 1}); err == nil {
-			t.Fatalf("%s accepted", c.name)
+	for _, simd := range []bool{false, true} {
+		for _, c := range cases {
+			_, err := Run(fakeMachine(2, simd, r), c.prog, Options{Seed: 1})
+			if err == nil || !strings.HasPrefix(err.Error(), "bsplib: processor 0:") {
+				t.Errorf("SIMD %v, %s: error %v, want processor 0's panic", simd, c.name, err)
+			}
 		}
 	}
 }

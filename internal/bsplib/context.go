@@ -2,6 +2,7 @@ package bsplib
 
 import (
 	"fmt"
+	"math"
 
 	"quantpar/internal/machine"
 	"quantpar/internal/sim"
@@ -40,9 +41,10 @@ func (c *Context) WordBytes() int { return c.e.m.WordBytes }
 func (c *Context) RNG() *sim.RNG { return c.rng }
 
 // Charge accounts t microseconds of local computation on this processor.
+// t must be non-negative and finite.
 func (c *Context) Charge(t sim.Time) {
-	if t < 0 {
-		panic(fmt.Sprintf("bsplib: negative charge %g on processor %d", t, c.id))
+	if !(t >= 0 && !math.IsInf(t, 1)) {
+		panic(fmt.Sprintf("bsplib: invalid charge %g on processor %d", t, c.id))
 	}
 	c.compute += t
 }
@@ -60,7 +62,8 @@ func (c *Context) ChargeOps(n int) {
 // payload, carved from this processor's private lease arena. The buffer is
 // on loan until this processor's next Sync/Flush, after which it is
 // recycled; encode into it, Send it, and never retain it across the
-// synchronization. Contents are uninitialized - callers are expected to
+// synchronization. Under -race the synchronization overwrites its bytes
+// with poison. Contents are uninitialized - callers are expected to
 // overwrite every byte (wire.Append* encoders into buf[:0] do).
 func (c *Context) PayloadBuf(n int) []byte {
 	if cap(c.lease)-len(c.lease) < n {
@@ -146,6 +149,7 @@ func (c *Context) step(barrier bool) {
 		out[i] = outMsg{}
 	}
 	c.outbox = out[:0]
+	poison(c.lease)
 	c.lease = c.lease[:0]
 }
 
@@ -153,8 +157,8 @@ func (c *Context) step(barrier bool) {
 // the last Sync/Flush, ordered by source processor and send order.
 //
 // The payloads are views into engine-owned delivery buffers, valid only
-// until this processor's next Sync/Flush; decode (copy) them before then
-// and never retain them across a synchronization.
+// until this processor's next Sync/Flush, which poisons them under -race;
+// decode (copy) them before then and never retain them across it.
 func (c *Context) Recv(tag int) [][]byte {
 	var out [][]byte
 	for _, m := range c.e.inboxes[c.id] {
@@ -168,7 +172,7 @@ func (c *Context) Recv(tag int) [][]byte {
 // RecvFrom returns the payload of the first message with the given tag from
 // src delivered at the last Sync/Flush, or nil if there is none. The same
 // validity rule as Recv applies: the slice is an engine-owned delivery
-// buffer, dead after this processor's next Sync/Flush.
+// buffer, dead and under -race poisoned after the next Sync/Flush.
 func (c *Context) RecvFrom(src, tag int) []byte {
 	for _, m := range c.e.inboxes[c.id] {
 		if m.Src == src && m.Tag == tag {
@@ -186,7 +190,7 @@ func (c *Context) RecvFrom(src, tag int) []byte {
 // or mutate its own slice once that synchronization returns. Payload is a
 // view into the delivery buffer, valid only until the receiving
 // processor's next Sync/Flush: decode (copy) it before then, never retain
-// it.
+// it. Under -race that synchronization overwrites its bytes with poison.
 type Message struct {
 	Src     int
 	Tag     int
