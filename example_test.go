@@ -23,10 +23,11 @@ func ExampleNewMachine() {
 
 	p := backends.DefaultClusterParams()
 	p.Ary, p.Dims = 4, 2 // 4x4 torus instead of the default 4x4x4
-	small, err := backends.NewClusterMachine("cluster-16", p, backends.DefaultClusterCompute())
+	small, err := backends.Cluster(p)
 	if err != nil {
 		log.Fatal(err)
 	}
+	small.Name = "cluster-16"
 	fmt.Printf("%s: %d procs, %s: %d procs\n", std.Name, std.P(), small.Name, small.P())
 
 	res, err := quantpar.RunBitonic(small, quantpar.BitonicConfig{

@@ -29,7 +29,7 @@ func main() {
 	for _, side := range []int{4, 8, 16} {
 		p := mesh.DefaultParams()
 		p.Width, p.Height = side, side
-		m, err := backends.CustomMesh(fmt.Sprintf("GCel-%d", side*side), p, backends.DefaultGCelCompute())
+		m, err := backends.GCel(p)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -59,7 +59,7 @@ func (d Diagnostic) String() string {
 
 // Analyzers returns the full suite in a stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{ArtifactEnc, Determinism, FaultRNG, SimTime, RNGStream}
+	return []*Analyzer{Determinism, FaultRNG, SimTime, RNGStream}
 }
 
 // Run applies the analyzers to every target package of the world and

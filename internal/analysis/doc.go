@@ -31,14 +31,10 @@
 //     flagged, because both make verdicts depend on frame-examination
 //     order and break byte-identical replay.
 //
-//   - artifactenc: every struct declared in the runstore package must
-//     stay canonically encodable, so map-typed, interface-typed, and
-//     pointer/channel/function fields are flagged at vet time, before a
-//     schema change breaks artifact byte-determinism.
-//
-// bsplib's buffer lifetimes are checked at run time instead: race builds
-// overwrite every released lease and delivery view with poison (DESIGN.md
-// §11).
+// Two invariants are checked at run time instead: race builds overwrite
+// every released bsplib lease and delivery view with poison (DESIGN.md
+// §11), and runstore.Encode rejects every non-canonical artifact shape
+// (DESIGN.md §9).
 //
 // # Suppression
 //

@@ -19,6 +19,7 @@
 package bsplib
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -168,8 +169,18 @@ func newInboxes(n int) [][]Message {
 //   - "bsplib: processor P: %w" for a program panic, wrapping the panic
 //     value if it is an error and "panic: <value>" otherwise;
 //   - an error naming the step for Sync/Flush disagreement, an MP-BPRAM
-//     violation, or word streams mixed with blocks on a SIMD machine.
+//     violation, or word streams mixed with blocks on a SIMD machine;
+//   - a "bsplib: " error for a nil machine, a nil program or an unknown
+//     discipline, returned before any processor starts.
 func Run(m *machine.Machine, prog Program, opt Options) (*RunResult, error) {
+	switch {
+	case m == nil:
+		return nil, errors.New("bsplib: nil machine")
+	case prog == nil:
+		return nil, errors.New("bsplib: nil program")
+	case opt.Discipline != DisciplineNone && opt.Discipline != DisciplineMPBPRAM:
+		return nil, fmt.Errorf("bsplib: unknown discipline %d", opt.Discipline)
+	}
 	n := m.P()
 	e := &engine{
 		m:          m,

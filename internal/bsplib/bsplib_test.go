@@ -463,13 +463,38 @@ func TestContextGuards(t *testing.T) {
 		{"NaN charge", func(ctx *Context) { ctx.Charge(math.NaN()) }},
 		{"+Inf charge", func(ctx *Context) { ctx.Charge(math.Inf(1)) }},
 		{"negative ops", func(ctx *Context) { ctx.ChargeOps(-1) }},
+		{"negative payload size", func(ctx *Context) { ctx.PayloadBuf(-1) }},
 	}
 	for _, simd := range []bool{false, true} {
 		for _, c := range cases {
 			_, err := Run(fakeMachine(2, simd, r), c.prog, Options{Seed: 1})
-			if err == nil || !strings.HasPrefix(err.Error(), "bsplib: processor 0:") {
-				t.Errorf("SIMD %v, %s: error %v, want processor 0's panic", simd, c.name, err)
+			if err == nil || !strings.HasPrefix(err.Error(), "bsplib: processor 0:") ||
+				strings.Contains(err.Error(), "runtime error") {
+				t.Errorf("SIMD %v, %s: error %v, want processor 0's guard panic", simd, c.name, err)
 			}
+		}
+	}
+}
+
+// TestRunRejectsBadArguments checks that Run refuses a nil machine, a nil
+// program and an unknown discipline with its own error, not a runtime one.
+func TestRunRejectsBadArguments(t *testing.T) {
+	m := fakeMachine(2, false, &fakeRouter{procs: 2, base: 1, msgCost: 1})
+	prog := func(ctx *Context) { ctx.Sync() }
+	cases := []struct {
+		name string
+		m    *machine.Machine
+		prog Program
+		opt  Options
+	}{
+		{"nil machine", nil, prog, Options{}},
+		{"nil program", m, nil, Options{}},
+		{"unknown discipline", m, prog, Options{Discipline: 7}},
+	}
+	for _, c := range cases {
+		_, err := Run(c.m, c.prog, c.opt)
+		if err == nil || !strings.HasPrefix(err.Error(), "bsplib: ") || strings.Contains(err.Error(), "runtime error") {
+			t.Errorf("%s: error %v, want a bsplib argument error", c.name, err)
 		}
 	}
 }

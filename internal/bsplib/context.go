@@ -66,6 +66,9 @@ func (c *Context) ChargeOps(n int) {
 // with poison. Contents are uninitialized - callers are expected to
 // overwrite every byte (wire.Append* encoders into buf[:0] do).
 func (c *Context) PayloadBuf(n int) []byte {
+	if n < 0 {
+		panic(fmt.Sprintf("bsplib: invalid payload size %d on processor %d", n, c.id))
+	}
 	if cap(c.lease)-len(c.lease) < n {
 		// Earlier leases of this step keep the old backing alive.
 		c.lease = make([]byte, 0, max(2*cap(c.lease), n))

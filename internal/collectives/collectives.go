@@ -1,11 +1,11 @@
 // Package collectives implements the BSP communication primitives of the
 // paper's companion work (Juurlink & Wijshoff, "Communication Primitives
 // for BSP Computers", reference [16]): broadcast, scatter, gather,
-// all-gather, reduction, all-reduce, prefix scan and the multi-scan used by
-// sample sort, plus total exchange. Each primitive is a real data-moving
-// program against the superstep engine, written to be h-relation-optimal in
-// the BSP sense (two-phase broadcasts, tree reductions), and each has a
-// matching closed-form BSP cost prediction.
+// all-gather, reduction, all-reduce, prefix scan and total exchange. Each
+// primitive is a real data-moving program against the superstep engine,
+// written to be h-relation-optimal in the BSP sense (two-phase broadcasts,
+// tree reductions), and each has a matching closed-form BSP cost
+// prediction.
 //
 // Payloads are word slices (uint32); the primitives are the building
 // blocks the paper's algorithms use implicitly, packaged for reuse.
@@ -305,31 +305,6 @@ func ExclusiveScan(ctx *bsplib.Context, value uint32, identity uint32, op Op) ui
 		}
 	}
 	return result
-}
-
-// MultiScan computes, for a vector of per-processor counts indexed by
-// destination processor, every exclusive prefix over source processors:
-// exactly the sample-sort multi-scan of Section 4.3, expressed here with
-// the total-exchange primitive. Returns offsets[b] = sum of counts[b] over
-// all processors with smaller id, and the total for this processor's own
-// bucket. Cost: two total exchanges plus a local scan, the BSP-optimal
-// 2*(g*P + L) of the paper's T_scan.
-func MultiScan(ctx *bsplib.Context, counts []uint32) (offsets []uint32, total uint32) {
-	p := ctx.P()
-	if len(counts) != p {
-		panic(fmt.Sprintf("collectives: multi-scan of %d counts on %d processors", len(counts), p))
-	}
-	// Total exchange: processor b receives counts[b] from every source.
-	mine := TotalExchange(ctx, counts)
-	pre := make([]uint32, p)
-	var sum uint32
-	for i, c := range mine {
-		pre[i] = sum
-		sum += c
-	}
-	ctx.ChargeOps(p)
-	offsets = TotalExchange(ctx, pre)
-	return offsets, sum
 }
 
 // TotalExchange routes vec[d] from every processor to processor d and

@@ -2,12 +2,10 @@ package collectives
 
 import (
 	"testing"
-	"testing/quick"
 
 	"quantpar/internal/bsplib"
 	"quantpar/internal/machine"
 	_ "quantpar/internal/machine/backends"
-	"quantpar/internal/sim"
 )
 
 func cm5(t *testing.T) *machine.Machine {
@@ -173,49 +171,6 @@ func TestTotalExchangeIsTranspose(t *testing.T) {
 				t.Fatalf("transpose wrong at (%d, %d): %d", me, src, got[me][src])
 			}
 		}
-	}
-}
-
-// Property: MultiScan equals the directly computed exclusive prefixes for
-// random count matrices.
-func TestMultiScanProperty(t *testing.T) {
-	m := cm5(t)
-	p := m.P()
-	f := func(seed uint64) bool {
-		rng := sim.NewRNG(seed)
-		counts := make([][]uint32, p)
-		for src := range counts {
-			counts[src] = make([]uint32, p)
-			for b := range counts[src] {
-				counts[src][b] = uint32(rng.Intn(9))
-			}
-		}
-		offsets := make([][]uint32, p)
-		totals := make([]uint32, p)
-		_, err := bsplib.Run(m, func(ctx *bsplib.Context) {
-			off, tot := MultiScan(ctx, counts[ctx.ID()])
-			offsets[ctx.ID()] = off
-			totals[ctx.ID()] = tot
-		}, bsplib.Options{Seed: seed})
-		if err != nil {
-			return false
-		}
-		for b := 0; b < p; b++ {
-			var runSum uint32
-			for src := 0; src < p; src++ {
-				if offsets[src][b] != runSum {
-					return false
-				}
-				runSum += counts[src][b]
-			}
-			if totals[b] != runSum {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 4}); err != nil {
-		t.Fatal(err)
 	}
 }
 

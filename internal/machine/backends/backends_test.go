@@ -10,24 +10,6 @@ import (
 	"quantpar/internal/router/mesh"
 )
 
-func meshParamsForTest() mesh.Params {
-	p := mesh.DefaultParams()
-	p.Width, p.Height = 4, 4
-	return p
-}
-
-func fattreeParamsForTest() fattree.Params {
-	p := fattree.DefaultParams()
-	p.Procs = 16
-	return p
-}
-
-func masparParamsForTest() maspar.Params {
-	p := maspar.DefaultParams()
-	p.PEs = 256
-	return p
-}
-
 func TestConstructors(t *testing.T) {
 	cases := []struct {
 		name string
@@ -97,49 +79,56 @@ func TestXNetCapability(t *testing.T) {
 	}
 }
 
+// TestCustomMachines builds each backend through its constructor at a
+// non-default geometry, then at an invalid one, which must return an error
+// rather than panic.
 func TestCustomMachines(t *testing.T) {
-	mp := meshParamsForTest()
-	m, err := backends.CustomMesh("mini-gcel", mp, backends.DefaultGCelCompute())
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name       string
+		build      func(size int) (*machine.Machine, error)
+		size, bad  int
+		p, word    int
+		simd, xnet bool
+	}{
+		{"gcel", func(side int) (*machine.Machine, error) {
+			p := mesh.DefaultParams()
+			p.Width, p.Height = side, side
+			return backends.GCel(p)
+		}, 4, 0, 16, 4, false, false},
+		{"cm5", func(leaves int) (*machine.Machine, error) {
+			p := fattree.DefaultParams()
+			p.Procs = leaves
+			return backends.CM5(p)
+		}, 16, 15, 16, 8, false, false},
+		{"maspar", func(pes int) (*machine.Machine, error) {
+			p := maspar.DefaultParams()
+			p.PEs = pes
+			return backends.MasPar(p)
+		}, 256, 48, 256, 4, true, true},
+		{"cluster", func(ary int) (*machine.Machine, error) {
+			p := backends.DefaultClusterParams()
+			p.Ary, p.Dims = ary, 2
+			return backends.Cluster(p)
+		}, 3, 1, 9, 8, false, false},
 	}
-	if m.P() != 16 || m.SIMD {
-		t.Fatalf("custom mesh P=%d SIMD=%v", m.P(), m.SIMD)
-	}
-	if _, err := backends.CustomMesh("bad", mp, &machine.BasicCompute{}); err == nil {
-		t.Fatal("invalid compute accepted")
-	}
-
-	ftp := fattreeParamsForTest()
-	ft, err := backends.CustomFatTree("mini-cm5", ftp, backends.DefaultCM5Compute())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ft.P() != 16 || ft.WordBytes != 8 {
-		t.Fatalf("custom fat tree %+v", ft)
-	}
-
-	mpp := masparParamsForTest()
-	ms, err := backends.CustomMasPar("mini-maspar", mpp, backends.DefaultMasParCompute())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ms.P() != 256 || !ms.SIMD || ms.XNet == nil {
-		t.Fatalf("custom maspar %+v", ms)
-	}
-}
-
-func TestCustomCluster(t *testing.T) {
-	p := backends.DefaultClusterParams()
-	p.Ary, p.Dims = 3, 2
-	m, err := backends.NewClusterMachine("mini-cluster", p, backends.DefaultClusterCompute())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.P() != 9 || m.SIMD {
-		t.Fatalf("custom cluster P=%d SIMD=%v", m.P(), m.SIMD)
-	}
-	if _, err := backends.NewClusterMachine("bad", backends.ClusterParams{Ary: 1, Dims: 1}, backends.DefaultClusterCompute()); err == nil {
-		t.Fatal("degenerate torus accepted")
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m, err := c.build(c.size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.P() != c.p || m.WordBytes != c.word || m.SIMD != c.simd || (m.XNet != nil) != c.xnet {
+				t.Fatalf("P=%d word=%d SIMD=%v XNet=%v, want %d %d %v %v",
+					m.P(), m.WordBytes, m.SIMD, m.XNet != nil, c.p, c.word, c.simd, c.xnet)
+			}
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("invalid size %d panicked: %v", c.bad, r)
+				}
+			}()
+			if _, err := c.build(c.bad); err == nil {
+				t.Fatalf("invalid size %d accepted", c.bad)
+			}
+		})
 	}
 }

@@ -55,18 +55,14 @@ func DefaultClusterParams() ClusterParams {
 	}
 }
 
-// DefaultClusterCompute returns the node compute model of the cluster
-// backend: a ~1 Gflops core, so alpha is 2 ns per compound flop.
-func DefaultClusterCompute() machine.Compute {
-	return &machine.BasicCompute{AlphaC: 0.002, Beta: 0.001, Gamma: 0.004, MergeC: 0.003, OpC: 0.001, CallOverh: 0.2}
-}
-
-// NewClusterMachine builds a cluster machine from explicit parameters.
-// Unlike the 1996 backends it has no dedicated router package: the router
-// is assembled inline from netsim policies (the active-message engine, a
-// torus-latency closure, and a declarative Spec) plus the config struct -
-// the "machines are data" path the registry exists for.
-func NewClusterMachine(name string, p ClusterParams, c machine.Compute) (*machine.Machine, error) {
+// Cluster builds a modern-cluster machine; DefaultClusterParams() gives
+// the 64-node default. Unlike the 1996 backends it has no dedicated router
+// package: the router is assembled inline from netsim policies (the
+// active-message engine, a torus-latency closure, and a declarative Spec)
+// plus the config struct - the "machines are data" path the registry
+// exists for. Each node is a ~1 Gflops core, so alpha is 2 ns per
+// compound flop.
+func Cluster(p ClusterParams) (*machine.Machine, error) {
 	torus, err := topology.NewTorus(p.Ary, p.Dims)
 	if err != nil {
 		return nil, fmt.Errorf("machine: %w", err)
@@ -117,11 +113,6 @@ func NewClusterMachine(name string, p ClusterParams, c machine.Compute) (*machin
 		Jitter(p.Jitter).
 		F64(p.BarrierCost)
 	core = netsim.NewCore(spec, eng)
-	return machine.Assemble(name, core, c, 8, false)
-}
-
-// NewCluster builds the default 64-node modern-cluster model; it is the
-// factory registered under "cluster".
-func NewCluster() (*machine.Machine, error) {
-	return NewClusterMachine("Modern cluster", DefaultClusterParams(), DefaultClusterCompute())
+	c := &machine.BasicCompute{AlphaC: 0.002, Beta: 0.001, Gamma: 0.004, MergeC: 0.003, OpC: 0.001, CallOverh: 0.2}
+	return machine.Assemble("Modern cluster", core, c, 8, false)
 }

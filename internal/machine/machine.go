@@ -66,7 +66,7 @@ type identified interface {
 // it validates the compute constants, wraps the router in the phase memo
 // cache using the router's own Fingerprint/UsesRNG identity, and detects
 // optional capabilities (XNetPricer) on the raw router. Every machine in
-// the system - preset, custom, or registry-built - goes through here.
+// the system, registry-built or not, goes through here.
 func Assemble(name string, r comm.Router, c Compute, wordBytes int, simd bool) (*Machine, error) {
 	builds.Add(1)
 	if err := Validate(c); err != nil {

@@ -106,10 +106,19 @@ func TestNamesSorted(t *testing.T) {
 }
 
 func TestAssembleRequiresIdentity(t *testing.T) {
-	// A router without Fingerprint/UsesRNG cannot be memoized, so Assemble
-	// must refuse it rather than silently skip the phase cache.
-	_, err := Assemble("anon", bareRouter{}, &BasicCompute{AlphaC: 1, Beta: 1, Gamma: 1}, 4, false)
-	if err == nil {
-		t.Fatal("router without identity accepted")
+	cases := []struct {
+		name string
+		r    comm.Router
+		c    Compute
+	}{
+		// A router without Fingerprint/UsesRNG cannot be memoized, so
+		// Assemble must refuse it rather than silently skip the phase cache.
+		{"router without identity", bareRouter{}, &BasicCompute{AlphaC: 1, Beta: 1, Gamma: 1}},
+		{"zero compute model", &stubRouter{procs: 2}, &BasicCompute{}},
+	}
+	for _, c := range cases {
+		if _, err := Assemble("anon", c.r, c.c, 4, false); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
 	}
 }

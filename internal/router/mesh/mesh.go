@@ -117,10 +117,6 @@ func New(p Params) (*Router, error) {
 	return r, nil
 }
 
-// Edges returns the mesh's undirected links as node pairs, in the
-// deterministic order fault plans use to pick links to kill.
-func (r *Router) Edges() [][2]int { return r.grid.Edges() }
-
 // Params returns the router's physical constants.
 func (r *Router) Params() Params { return r.p }
 

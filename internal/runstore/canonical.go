@@ -20,10 +20,11 @@ import (
 //
 // The encoder rejects rather than tolerates non-canonical shapes: maps
 // (iteration order), interfaces (dynamic types), pointers, channels,
-// functions, and non-finite floats all return errors. The schema structs
-// contain none of these — enforced statically by the qpvet `artifactenc`
-// rule — so Encode on an Artifact only fails on NaN/Inf series values,
-// which would themselves be measurement bugs.
+// functions, and non-finite floats all return errors. A struct field of
+// such a kind fails even when nil, and so does an empty slice of them, so
+// a schema change that adds one fails every artifact encode and with it
+// the package's round-trip tests. On the schema as it stands, Encode fails
+// only on NaN/Inf series values, which would be measurement bugs.
 func Encode(v any) ([]byte, error) {
 	rv := reflect.ValueOf(v)
 	// Top-level pointers are calling convention (Encode(&artifact)), not
@@ -127,6 +128,11 @@ func encodeFloat(buf *bytes.Buffer, f float64) error {
 func encodeSlice(buf *bytes.Buffer, v reflect.Value, indent string) error {
 	n := v.Len()
 	if n == 0 {
+		// Encode and drop a zero element, so an empty slice of a
+		// forbidden kind fails as a filled one would.
+		if err := encodeValue(new(bytes.Buffer), reflect.Zero(v.Type().Elem()), indent); err != nil {
+			return err
+		}
 		buf.WriteString("[]")
 		return nil
 	}

@@ -121,8 +121,12 @@ func TestEncodeIsCanonical(t *testing.T) {
 func TestEncodeRejectsNonCanonicalShapes(t *testing.T) {
 	cases := map[string]any{
 		"map":            struct{ M map[string]int }{M: map[string]int{"a": 1}},
+		"nil map":        struct{ M map[string]int }{},
 		"any":            struct{ V any }{V: 3},
 		"nested pointer": struct{ P *int }{P: new(int)},
+		"nil pointer":    struct{ P *string }{},
+		"chan":           struct{ C chan int }{},
+		"empty []map":    struct{ R []map[int]float64 }{},
 		"func":           struct{ F func() }{F: func() {}},
 		"NaN":            struct{ X float64 }{X: math.NaN()},
 		"Inf":            struct{ X float64 }{X: math.Inf(1)},

@@ -10,8 +10,8 @@
 //
 // The schema deliberately contains no map-typed and no any-typed fields:
 // map iteration order would leak into the encoding and break the
-// byte-determinism contract. The qpvet analyzer rule `artifactenc` enforces
-// this for every struct in the package.
+// byte-determinism contract. Encode rejects both on every artifact it
+// writes.
 package runstore
 
 import (

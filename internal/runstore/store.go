@@ -15,8 +15,8 @@ const ManifestName = "manifest.json"
 // Dir is one artifact store directory: a set of artifact files plus a
 // manifest indexing them. The zero value is unusable; call Open.
 //
-// Lookup structures are deliberately slices, not maps: the artifactenc
-// rule bans map fields package-wide, and a store holds tens of entries.
+// Lookup structures are deliberately slices, not maps: a store holds tens
+// of entries, and slices keep the manifest in a fixed order.
 type Dir struct {
 	Path     string
 	manifest Manifest

@@ -154,25 +154,6 @@ func (m *Mesh) PathAvoid(dst []int, src, dstNode int, dead DeadFunc, scratch *Pa
 	return dst, nil
 }
 
-// Edges returns every undirected mesh link as a node pair {u, v} with
-// u < v, in deterministic row-major order. Fault plans use it to pick
-// links to kill.
-func (m *Mesh) Edges() [][2]int {
-	edges := make([][2]int, 0, 2*m.Nodes())
-	for y := 0; y < m.Height; y++ {
-		for x := 0; x < m.Width; x++ {
-			u := m.ID(x, y)
-			if x+1 < m.Width {
-				edges = append(edges, [2]int{u, m.ID(x+1, y)})
-			}
-			if y+1 < m.Height {
-				edges = append(edges, [2]int{u, m.ID(x, y+1)})
-			}
-		}
-	}
-	return edges
-}
-
 // torusNeighbours appends node u's live torus neighbours in fixed order
 // (per dimension: +1 ring direction then -1), skipping dead links.
 func (t *Torus) torusNeighbours(buf []int32, u int, dead DeadFunc) []int32 {
@@ -212,21 +193,4 @@ func (t *Torus) HopsAvoid(src, dst int, dead DeadFunc, scratch *PathScratch) (in
 		hops++
 	}
 	return hops, nil
-}
-
-// Edges returns every undirected torus link as a node pair {u, v} with
-// u < v, in deterministic node-major order. With Ary == 2 the two ring
-// directions coincide and the link is listed once.
-func (t *Torus) Edges() [][2]int {
-	edges := make([][2]int, 0, t.n*t.Dims)
-	var scratch [8]int32
-	noneDead := func(u, v int) bool { return false }
-	for u := 0; u < t.n; u++ {
-		for _, v := range t.torusNeighbours(scratch[:0], u, noneDead) {
-			if u < int(v) {
-				edges = append(edges, [2]int{u, int(v)})
-			}
-		}
-	}
-	return edges
 }

@@ -110,24 +110,6 @@ func TestMeshPathAvoidPartition(t *testing.T) {
 	}
 }
 
-func TestMeshEdges(t *testing.T) {
-	m := &Mesh{Width: 3, Height: 2}
-	edges := m.Edges()
-	// 2D grid: (w-1)*h horizontal + w*(h-1) vertical.
-	want := (m.Width-1)*m.Height + m.Width*(m.Height-1)
-	if len(edges) != want {
-		t.Fatalf("%d edges, want %d: %v", len(edges), want, edges)
-	}
-	for _, e := range edges {
-		if e[0] >= e[1] {
-			t.Fatalf("edge %v not ordered u < v", e)
-		}
-		if m.Hops(e[0], e[1]) != 1 {
-			t.Fatalf("edge %v joins non-neighbours", e)
-		}
-	}
-}
-
 func TestTorusHopsAvoid(t *testing.T) {
 	tor, err := NewTorus(4, 3)
 	if err != nil {
@@ -166,37 +148,5 @@ func TestTorusHopsAvoidPartition(t *testing.T) {
 	var scratch PathScratch
 	if _, err := tor.HopsAvoid(0, 1, deadSet([2]int{0, 1}), &scratch); !errors.Is(err, ErrPartitioned) {
 		t.Fatalf("severed torus returned %v, want ErrPartitioned", err)
-	}
-}
-
-func TestTorusEdges(t *testing.T) {
-	tor, err := NewTorus(4, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	edges := tor.Edges()
-	// k-ary n-cube with k > 2: n * k^n undirected links.
-	want := tor.Dims * tor.Nodes()
-	if len(edges) != want {
-		t.Fatalf("%d edges, want %d", len(edges), want)
-	}
-	seen := make(map[[2]int]bool, len(edges))
-	for _, e := range edges {
-		if e[0] >= e[1] {
-			t.Fatalf("edge %v not ordered", e)
-		}
-		if seen[e] {
-			t.Fatalf("duplicate edge %v", e)
-		}
-		seen[e] = true
-		if tor.Hops(e[0], e[1]) != 1 {
-			t.Fatalf("edge %v joins non-neighbours", e)
-		}
-	}
-
-	// Ary == 2 lists the coincident ring directions once.
-	small, _ := NewTorus(2, 2)
-	if got := len(small.Edges()); got != 4 {
-		t.Fatalf("2-ary 2-cube has %d edges, want 4", got)
 	}
 }

@@ -2,22 +2,15 @@ package topology
 
 import "fmt"
 
-// FatTree models the CM-5 data network: a 4-ary fat tree whose aggregate
-// bandwidth stays high towards the root. Rather than tracking individual
-// router chips, the model tracks, per tree level, how many messages cross
-// that level and how many parallel link-bundles are available there; the
-// contention contribution of a pattern is governed by the most loaded
-// bundle. This is the granularity at which the CM-5's "large bisection
-// bandwidth" (Section 5.3 of the paper) matters.
+// FatTree models the CM-5 data network: a fat tree over Leaves processors
+// whose routes climb to the nearest common ancestor subtree and descend
+// again. It answers the structural questions the router prices per
+// message - which level a route must reach and how many hops it takes -
+// and tracks no link-level contention.
 type FatTree struct {
 	Leaves int
 	Arity  int
 	Levels int
-	// upMult[l] is the number of parallel upward link-bundles out of each
-	// level-l subtree. On the CM-5 each router has 2 parent connections at
-	// the lowest level and 4 higher up, yielding roughly half-bisection
-	// near the leaves and full bisection above.
-	upMult []int
 }
 
 // NewFatTree builds a fat tree over the given number of leaves with the
@@ -35,16 +28,7 @@ func NewFatTree(leaves, arity int) (*FatTree, error) {
 	if n != leaves || leaves < arity {
 		return nil, fmt.Errorf("topology: fat tree leaves %d is not a power of arity %d", leaves, arity)
 	}
-	ft := &FatTree{Leaves: leaves, Arity: arity, Levels: levels}
-	ft.upMult = make([]int, levels)
-	for l := range ft.upMult {
-		if l == 0 {
-			ft.upMult[l] = 2 // CM-5: two parents per leaf-level router
-		} else {
-			ft.upMult[l] = 4
-		}
-	}
-	return ft, nil
+	return &FatTree{Leaves: leaves, Arity: arity, Levels: levels}, nil
 }
 
 // SubtreeAt returns the index of the level-l subtree containing leaf id.
@@ -78,36 +62,4 @@ func (f *FatTree) Hops(src, dst int) int {
 		return 0
 	}
 	return 2 * (l + 1)
-}
-
-// LevelLoad computes, for the message multiset given as (src, dst) pairs,
-// the most loaded upward link-bundle at each level, assuming the adaptive
-// up-routing spreads a subtree's upward traffic evenly over its parallel
-// bundles (the CM-5 network picks among parents pseudo-randomly). The
-// result has one entry per level; entry l is ceil(maxTraffic/upMult[l])
-// where maxTraffic is the most traffic any single level-l subtree sends
-// upward past level l.
-func (f *FatTree) LevelLoad(srcs, dsts []int) []int {
-	if len(srcs) != len(dsts) {
-		panic("topology: mismatched src/dst lists")
-	}
-	loads := make([]int, f.Levels)
-	// traffic[l][s]: messages leaving level-l subtree s upward.
-	for l := 0; l < f.Levels; l++ {
-		counts := make(map[int]int)
-		for i := range srcs {
-			nca := f.NCALevel(srcs[i], dsts[i])
-			if nca > l {
-				counts[f.SubtreeAt(srcs[i], l)]++
-			}
-		}
-		maxT := 0
-		for _, c := range counts {
-			if c > maxT {
-				maxT = c
-			}
-		}
-		loads[l] = (maxT + f.upMult[l] - 1) / f.upMult[l]
-	}
-	return loads
 }

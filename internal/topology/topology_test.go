@@ -200,28 +200,3 @@ func TestFatTreeStructure(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestFatTreeLevelLoad(t *testing.T) {
-	ft, err := NewFatTree(64, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// All 16 leaves of subtree 0 (level-1) send to the far half: every
-	// message crosses level 1; the level-1 subtree has 4 upward bundles.
-	var srcs, dsts []int
-	for i := 0; i < 16; i++ {
-		srcs = append(srcs, i)
-		dsts = append(dsts, 48+i)
-	}
-	loads := ft.LevelLoad(srcs, dsts)
-	if loads[1] != 4 { // 16 messages / 4 bundles
-		t.Fatalf("level-1 load %d, want 4 (loads %v)", loads[1], loads)
-	}
-	// Purely local traffic loads no level.
-	loads = ft.LevelLoad([]int{0, 1}, []int{1, 0})
-	for l, v := range loads {
-		if l > 0 && v != 0 {
-			t.Fatalf("local traffic loaded level %d: %v", l, loads)
-		}
-	}
-}

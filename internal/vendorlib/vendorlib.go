@@ -10,15 +10,13 @@
 //     150 Mflops without the vector units (and about 1 Gflop with them).
 //
 // The real routines are unavailable, so these models substitute calibrated
-// cost functions with the documented performance envelopes; the products
-// themselves are computed with the reference sequential kernel so callers
-// still receive real results.
+// cost functions with the documented performance envelopes; they price a
+// multiply and compute no product.
 package vendorlib
 
 import (
 	"fmt"
 
-	"quantpar/internal/linalg"
 	"quantpar/internal/sim"
 )
 
@@ -59,19 +57,6 @@ func MasParMatMulTime(procs int, xnet XNetPricer, n int) (sim.Time, error) {
 	return skew + sim.Time(side)*perStep, nil
 }
 
-// MasParMatMul runs the intrinsic model and returns the product (computed
-// with the reference kernel) along with the simulated time and rate.
-func MasParMatMul(procs int, xnet XNetPricer, a, b *linalg.Mat) (*linalg.Mat, sim.Time, error) {
-	if a.Rows != a.Cols || b.Rows != b.Cols || a.Rows != b.Rows {
-		return nil, 0, fmt.Errorf("vendorlib: matmul intrinsic requires equal square matrices")
-	}
-	t, err := MasParMatMulTime(procs, xnet, a.Rows)
-	if err != nil {
-		return nil, 0, err
-	}
-	return linalg.MatMul(a, b), t, nil
-}
-
 // CMSSLConfig tunes the gen_matrix_mult model.
 type CMSSLConfig struct {
 	Procs int
@@ -104,19 +89,6 @@ func CMSSLGenMatrixMultTime(cfg CMSSLConfig, n int) (sim.Time, error) {
 	compute := flops / (float64(cfg.Procs) * rate) // us
 	comm := commPerN2 * float64(n) * float64(n)
 	return sim.Time(compute + comm), nil
-}
-
-// CMSSLGenMatrixMult runs the model and returns the product with the
-// simulated time.
-func CMSSLGenMatrixMult(cfg CMSSLConfig, a, b *linalg.Mat) (*linalg.Mat, sim.Time, error) {
-	if a.Rows != a.Cols || b.Rows != b.Cols || a.Rows != b.Rows {
-		return nil, 0, fmt.Errorf("vendorlib: gen_matrix_mult requires equal square matrices")
-	}
-	t, err := CMSSLGenMatrixMultTime(cfg, a.Rows)
-	if err != nil {
-		return nil, 0, err
-	}
-	return linalg.MatMul(a, b), t, nil
 }
 
 // Mflops converts an N x N multiply time to the paper's Mflops convention.

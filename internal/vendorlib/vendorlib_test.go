@@ -3,9 +3,7 @@ package vendorlib
 import (
 	"testing"
 
-	"quantpar/internal/linalg"
 	"quantpar/internal/router/maspar"
-	"quantpar/internal/sim"
 )
 
 func router(t *testing.T) *maspar.Router {
@@ -67,34 +65,5 @@ func TestCMSSLEnvelope(t *testing.T) {
 	}
 	if _, err := CMSSLGenMatrixMultTime(cfg, -1); err == nil {
 		t.Fatal("negative N accepted")
-	}
-}
-
-func TestWrappersComputeRealProducts(t *testing.T) {
-	r := router(t)
-	rng := sim.NewRNG(1)
-	a := linalg.NewMat(8, 8).Random(rng)
-	b := linalg.NewMat(8, 8).Random(rng)
-	want := linalg.MatMul(a, b)
-
-	got, ti, err := MasParMatMul(r.Procs(), r, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ti <= 0 || linalg.MaxAbsDiff(got, want) > 1e-12 {
-		t.Fatal("intrinsic wrapper returned a wrong product")
-	}
-	got2, tc, err := CMSSLGenMatrixMult(DefaultCMSSL(), a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tc <= 0 || linalg.MaxAbsDiff(got2, want) > 1e-12 {
-		t.Fatal("CMSSL wrapper returned a wrong product")
-	}
-	if _, _, err := MasParMatMul(r.Procs(), r, a, linalg.NewMat(4, 4)); err == nil {
-		t.Fatal("mismatched shapes accepted")
-	}
-	if _, _, err := CMSSLGenMatrixMult(DefaultCMSSL(), a, linalg.NewMat(4, 4)); err == nil {
-		t.Fatal("mismatched shapes accepted")
 	}
 }

@@ -215,8 +215,8 @@ func ExperimentArtifactConfig(e Experiment, ctx *ExperimentContext) (ArtifactCon
 
 // BSP collective primitives (the paper's reference [16]) for use inside
 // Programs: Broadcast, Scatter, Gather, AllGather, Reduce, AllReduce,
-// ExclusiveScan, MultiScan and TotalExchange, with their BSP cost
-// predictions in the collectives package.
+// ExclusiveScan and TotalExchange, with their BSP cost predictions in the
+// collectives package.
 var (
 	Broadcast     = collectives.Broadcast
 	Scatter       = collectives.Scatter
