@@ -271,22 +271,26 @@ func BenchmarkParallelSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineSuperstep measures the raw engine overhead: a P=64
-// program doing nothing but barriers.
+// BenchmarkEngineSuperstep measures the raw engine overhead: a program
+// doing nothing but 10 barriers, at P = 64 (cm5) and P = 1024 (maspar).
 func BenchmarkEngineSuperstep(b *testing.B) {
-	m, err := machine.Build("cm5")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		_, err := bsplib.Run(m, func(ctx *bsplib.Context) {
-			for s := 0; s < 10; s++ {
-				ctx.Sync()
+	for _, c := range []struct{ name, machine string }{{"p64", "cm5"}, {"p1024", "maspar"}} {
+		b.Run(c.name, func(b *testing.B) {
+			m, err := machine.Build(c.machine)
+			if err != nil {
+				b.Fatal(err)
 			}
-		}, bsplib.Options{Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
+			for i := 0; i < b.N; i++ {
+				_, err := bsplib.Run(m, func(ctx *bsplib.Context) {
+					for s := 0; s < 10; s++ {
+						ctx.Sync()
+					}
+				}, bsplib.Options{Seed: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -7,11 +7,14 @@
 #   3. the full test suite passes under the race detector with shuffled
 #      test order (-shuffle=on), so no test depends on a sibling running
 #      first, and the superstep engine's tests pass ten more times under
-#      it, so a rare interleaving of its processor goroutines gets caught.
-#      The race build also poisons every released bsplib buffer, so a
-#      program that reads a lease or delivery view past its Sync fails
-#      its own verification. internal/analysis starts no goroutine, so
-#      its tests run shuffled without the detector;
+#      it. The engine resumes its processors as coroutines, one at a time
+#      in index order, so no processor interleaving is left to catch: the
+#      repeated run guards the coroutine hand-offs between the engine and
+#      its processors, and the poison writes between them. The race
+#      build poisons every released bsplib buffer, so a program that
+#      reads a lease or delivery view past its Sync fails its own
+#      verification. internal/analysis starts no goroutine, so its tests
+#      run shuffled without the detector;
 #   4. qpvet (internal/analysis) reports no determinism, sim.Time,
 #      RNG-stream, or fault-RNG violations anywhere in the module, and no
 #      //qpvet:ignore directive has gone stale;

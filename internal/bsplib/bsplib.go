@@ -1,7 +1,9 @@
 // Package bsplib is the parallel programming library of this reproduction:
 // a superstep (BSP-style) execution engine that runs P-processor programs
-// on a simulated machine. Programs are ordinary Go functions executed in
-// one goroutine per simulated processor; they compute real results on real
+// on a simulated machine. Programs are ordinary Go functions, one per
+// simulated processor, which the engine runs as coroutines on the goroutine
+// that called Run: every superstep it resumes each processor in index order
+// until the processor synchronizes. Programs compute real results on real
 // data while the engine accounts simulated time - local computation through
 // the machine's compute model, communication through its router simulator.
 //
@@ -21,8 +23,6 @@ package bsplib
 import (
 	"errors"
 	"fmt"
-	"math"
-	"runtime"
 	"slices"
 	"sync"
 
@@ -95,36 +95,41 @@ func (m outMsg) parts(w int) int {
 	return 1
 }
 
-// slot is what a processor files at each synchronization: its outbox and
-// compute charge, or the end of its program with any panic. Processor p
-// writes slots[p] before it marks arrive; the engine reads it after Wait.
-type slot struct {
-	outbox  []outMsg
-	compute sim.Time
-	barrier bool
-	exited  bool
-	err     error
+// worker is a coroutine that runs one processor's program after another
+// (see newWorker). next resumes ctx's program until it synchronizes
+// (synced, through yield) or returns; ok is false only once a program has
+// ended the coroutine with runtime.Goexit.
+type worker struct {
+	next      func() (synced, ok bool)
+	yield     func(synced bool) bool
+	ctx       *Context
+	inProgram bool
 }
 
-// engine is the state of one run, written only by the goroutine that
-// called Run. A processor writes just its own slot, and reads the engine
-// (its inbox and clock, release, err) only while the engine waits for the
-// step's arrivals.
+// workers holds the idle workers, as many as ever ran at once: a
+// sync.Pool would drop them without ending their coroutines. Reuse keeps
+// race builds bounded, since the race detector never frees the state of
+// an exited coroutine (about 140 KB for a MasPar APSP processor).
+var workers struct {
+	sync.Mutex
+	idle []*worker
+}
+
+// engine is the state of one run. Only the goroutine that called Run
+// touches it, and the processors' Contexts too: a processor's program runs
+// only while the engine resumes it, so the engine reads and resets a
+// Context's outbox, compute charge and inbox between two resumptions.
 type engine struct {
-	m   *machine.Machine
-	n   int
-	opt Options
+	m    *machine.Machine
+	n    int
+	opt  Options
+	prog Program
 
-	slots   []slot
-	arrive  sync.WaitGroup // processors yet to file the current step
-	release chan struct{}  // closed once the current step is delivered
-	running []int          // processors whose programs have not returned
-	err     error
+	ctxs     []Context // the processors, in index and resume order
+	err      error
+	stopping bool // Run is unwinding the programs still running
 
-	clocks    []sim.Time
-	computeAt []sim.Time
-	outboxes  [][]outMsg
-	inboxes   [][]Message
+	clocks []sim.Time
 
 	// Delivery arenas, used in turn: step k's payloads are copied into
 	// arenas[cur] and stay intact while step k+1's are copied into the
@@ -149,17 +154,6 @@ type engine struct {
 	res     RunResult
 }
 
-// newInboxes preallocates per-processor inboxes with room for a typical
-// superstep's traffic, avoiding the append-doubling allocations of every
-// run's first delivery.
-func newInboxes(n int) [][]Message {
-	lists := make([][]Message, n)
-	for i := range lists {
-		lists[i] = make([]Message, 0, 16)
-	}
-	return lists
-}
-
 // Run executes prog on machine m and returns the simulated timing. Run is
 // deterministic for fixed (machine, program, options), failures included:
 // a failed run returns the error of its first failing step, and within a
@@ -170,12 +164,23 @@ func newInboxes(n int) [][]Message {
 //     value if it is an error and "panic: <value>" otherwise;
 //   - an error naming the step for Sync/Flush disagreement, an MP-BPRAM
 //     violation, or word streams mixed with blocks on a SIMD machine;
-//   - a "bsplib: " error for a nil machine, a nil program or an unknown
-//     discipline, returned before any processor starts.
+//   - a "bsplib: " error for a nil machine, a machine without a router or
+//     compute model, a nil program or an unknown discipline, returned
+//     before any processor starts.
+//
+// The processors run as coroutines on the goroutine that called Run. A
+// program that calls runtime.Goexit (t.FailNow does) therefore ends that
+// goroutine; Run unwinds the other processors before it goes. The
+// coroutines serve one run after another, so Run must not be called on a
+// goroutine locked to its thread (runtime.LockOSThread).
 func Run(m *machine.Machine, prog Program, opt Options) (*RunResult, error) {
 	switch {
 	case m == nil:
 		return nil, errors.New("bsplib: nil machine")
+	case m.Router == nil:
+		return nil, errors.New("bsplib: machine has no router")
+	case m.Compute == nil:
+		return nil, errors.New("bsplib: machine has no compute model")
 	case prog == nil:
 		return nil, errors.New("bsplib: nil program")
 	case opt.Discipline != DisciplineNone && opt.Discipline != DisciplineMPBPRAM:
@@ -186,13 +191,9 @@ func Run(m *machine.Machine, prog Program, opt Options) (*RunResult, error) {
 		m:          m,
 		n:          n,
 		opt:        opt,
-		slots:      make([]slot, n),
-		release:    make(chan struct{}),
-		running:    make([]int, n),
+		prog:       prog,
+		ctxs:       make([]Context, n),
 		clocks:     make([]sim.Time, n),
-		computeAt:  make([]sim.Time, n),
-		outboxes:   make([][]outMsg, n),
-		inboxes:    newInboxes(n),
 		sendsBuf:   make([][]comm.Msg, n),
 		offsetsBuf: make([]sim.Time, n),
 		runsBuf:    make([][]streamRun, n),
@@ -208,41 +209,41 @@ func Run(m *machine.Machine, prog Program, opt Options) (*RunResult, error) {
 		ctrl.ResetFaultClock()
 	}
 
-	e.arrive.Add(n)
-	for p := 0; p < n; p++ {
-		e.running[p] = p
-		go (&Context{
-			e: e, id: p, rng: e.rng.Split(uint64(0xC0FFEE + p)),
-			// Seed the send-side scratch so typical first supersteps
-			// skip the append-doubling allocations.
-			outbox: make([]outMsg, 0, 16),
-		}).run(prog)
+	// Give every processor a worker, and send and receive scratch for 16
+	// messages, carved from one backing each, so typical first supersteps
+	// skip the append-doubling allocations. The caps keep a processor's
+	// appends off its neighbour's entries.
+	outs := make([]outMsg, 16*n)
+	ins := make([]Message, 16*n)
+	workers.Lock()
+	for p := range e.ctxs {
+		c := &e.ctxs[p]
+		c.e, c.id = e, p
+		c.rng = *e.rng.Split(uint64(0xC0FFEE + p))
+		c.outbox = outs[16*p : 16*p : 16*p+16]
+		c.inbox = ins[16*p : 16*p : 16*p+16]
+		if k := len(workers.idle) - 1; k >= 0 {
+			c.w, workers.idle = workers.idle[k], workers.idle[:k]
+		} else {
+			c.w = newWorker()
+		}
+		c.w.ctx = c
 	}
-	// One wake-up per step: the last processor to file wakes the engine,
-	// which prices the step and releases every waiter at once.
-	for len(e.running) > 0 && e.err == nil {
-		e.arrive.Wait()
-		e.step()
-		release := e.release
-		e.release = make(chan struct{})
-		e.arrive.Add(len(e.running))
-		close(release)
+	workers.Unlock()
+	defer e.release()
+	for e.step() > 0 && e.err == nil {
 	}
 	if e.err != nil {
-		e.arrive.Wait() // the released processors unwind before Run returns
 		return nil, e.err
 	}
 	// Residual compute after the last sync extends the makespan.
 	maxResidual := sim.Time(0)
 	maxClock := sim.Time(0)
-	for p := 0; p < n; p++ {
-		e.clocks[p] += e.computeAt[p]
-		if e.computeAt[p] > maxResidual {
-			maxResidual = e.computeAt[p]
-		}
-		if e.clocks[p] > maxClock {
-			maxClock = e.clocks[p]
-		}
+	for p := range e.ctxs {
+		c := e.ctxs[p].compute
+		e.clocks[p] += c
+		maxResidual = max(maxResidual, c)
+		maxClock = max(maxClock, e.clocks[p])
 	}
 	e.res.ComputeTime += maxResidual
 	e.res.Time = maxClock
@@ -250,16 +251,23 @@ func Run(m *machine.Machine, prog Program, opt Options) (*RunResult, error) {
 	return &e.res, nil
 }
 
-// sync files processor p's step and parks p until the engine has priced
-// and delivered it. If the run failed instead, p unwinds with
-// runtime.Goexit, which no program can recover from.
-func (e *engine) sync(p int, s slot) {
-	e.slots[p] = s
-	release := e.release // read before Done: the engine replaces it after Wait
-	e.arrive.Done()
-	<-release
-	if e.err != nil {
-		runtime.Goexit()
+// release unwinds every program still running - after a failure, those
+// that synchronized on the failing step, resumed again if they recover
+// the unwinding panic and synchronize again - and gives the workers back,
+// all but one whose program ended its coroutine with runtime.Goexit.
+func (e *engine) release() {
+	e.stopping = true
+	for p := range e.ctxs {
+		w := e.ctxs[p].w
+		ok := true
+		for ok && w.inProgram {
+			_, ok = w.next()
+		}
+		if w.ctx = nil; ok {
+			workers.Lock()
+			workers.idle = append(workers.idle, w)
+			workers.Unlock()
+		}
 	}
 }
 
@@ -272,36 +280,39 @@ func panicError(r any) error {
 	return fmt.Errorf("panic: %v", r)
 }
 
-// step runs once every running processor has filed. It retires the
-// processors whose programs ended, taking the first program panic in
-// processor order as the run's error, then checks, prices and delivers
-// the step the rest synchronized on.
-func (e *engine) step() {
-	running := e.running[:0]
+// step resumes every processor whose program has not ended, in index
+// order, each until it synchronizes or its program ends, and returns how
+// many synchronized. It takes the first program panic in processor order
+// as the run's error, then checks, prices and delivers the step the
+// synchronized processors filed.
+func (e *engine) step() (live int) {
 	barrier := false
-	for _, p := range e.running {
-		s := &e.slots[p]
-		// An ended program files the compute charged after its last sync,
-		// which still occupies its processor.
-		e.computeAt[p] += s.compute
-		if s.exited {
+	for p := range e.ctxs {
+		c := &e.ctxs[p]
+		if c.ended {
+			continue
+		}
+		if synced, _ := c.w.next(); !synced {
+			// An ended program's unsynchronized sends are dropped; the
+			// compute it charged after its last sync stays in c.compute,
+			// which still occupies its processor.
+			c.ended, c.outbox = true, nil
 			if e.err == nil {
-				e.err = s.err
+				e.err = c.err
 			}
 			continue
 		}
-		if len(running) == 0 {
-			barrier = s.barrier
-		} else if s.barrier != barrier && e.err == nil {
+		if live == 0 {
+			barrier = c.barrier
+		} else if c.barrier != barrier && e.err == nil {
 			e.err = fmt.Errorf("bsplib: processors disagree on step type (barrier vs flush) at step %d", e.stepIdx)
 		}
-		e.outboxes[p] = s.outbox
-		running = append(running, p)
+		live++
 	}
-	e.running = running
-	if e.err == nil && len(running) > 0 {
+	if e.err == nil && live > 0 {
 		e.route(barrier)
 	}
+	return live
 }
 
 // route prices and delivers the gathered step. A router fails by panicking
@@ -313,12 +324,7 @@ func (e *engine) route(barrier bool) {
 		}
 	}()
 	e.res.Supersteps++
-	wallBefore := sim.Time(0)
-	for p := 0; p < e.n; p++ {
-		if e.clocks[p] > wallBefore {
-			wallBefore = e.clocks[p]
-		}
-	}
+	wallBefore := slices.Max(e.clocks)
 	commStepsBefore := e.res.CommSteps
 
 	// Local computation: SIMD machines run in lockstep, so every step
@@ -326,27 +332,20 @@ func (e *engine) route(barrier bool) {
 	// own charge (skews persist until a barrier).
 	maxC := sim.Time(0)
 	for p := 0; p < e.n; p++ {
-		if e.computeAt[p] > maxC {
-			maxC = e.computeAt[p]
+		if e.ctxs[p].compute > maxC {
+			maxC = e.ctxs[p].compute
 		}
 	}
 	e.res.ComputeTime += maxC
 	if e.m.SIMD {
-		align := sim.Time(0)
 		for p := 0; p < e.n; p++ {
-			if e.clocks[p] > align {
-				align = e.clocks[p]
-			}
-		}
-		align += maxC
-		for p := 0; p < e.n; p++ {
-			e.clocks[p] = align
-			e.computeAt[p] = 0
+			e.clocks[p] = wallBefore + maxC
+			e.ctxs[p].compute = 0
 		}
 	} else {
 		for p := 0; p < e.n; p++ {
-			e.clocks[p] += e.computeAt[p]
-			e.computeAt[p] = 0
+			e.clocks[p] += e.ctxs[p].compute
+			e.ctxs[p].compute = 0
 		}
 	}
 
@@ -377,24 +376,18 @@ func (e *engine) recordTrace(barrier bool, maxC, wallBefore sim.Time, commStepsB
 		Compute:   maxC,
 		CommSteps: e.res.CommSteps - commStepsBefore,
 	}
-	wallAfter := sim.Time(0)
-	for p := 0; p < e.n; p++ {
-		if e.clocks[p] > wallAfter {
-			wallAfter = e.clocks[p]
-		}
-	}
-	rec.Wall = wallAfter - wallBefore
+	rec.Wall = slices.Max(e.clocks) - wallBefore
 	in := e.inDeg
 	clear(in)
 	for src := 0; src < e.n; src++ {
-		for _, m := range e.outboxes[src] {
+		for _, m := range e.ctxs[src].outbox {
 			rec.Msgs++
 			rec.Bytes += len(m.payload)
 			in[m.dst]++
 		}
 	}
 	for p := 0; p < e.n; p++ {
-		out := len(e.outboxes[p])
+		out := len(e.ctxs[p].outbox)
 		if out > rec.H {
 			rec.H = out
 		}
@@ -416,11 +409,11 @@ func (e *engine) checkDiscipline() error {
 	in := e.inDeg
 	clear(in)
 	for src := 0; src < e.n; src++ {
-		if len(e.outboxes[src]) > 1 {
+		if len(e.ctxs[src].outbox) > 1 {
 			return fmt.Errorf("bsplib: MP-BPRAM violation at step %d: processor %d sends %d messages",
-				e.stepIdx, src, len(e.outboxes[src]))
+				e.stepIdx, src, len(e.ctxs[src].outbox))
 		}
-		for _, m := range e.outboxes[src] {
+		for _, m := range e.ctxs[src].outbox {
 			in[m.dst]++
 			if in[m.dst] > 1 {
 				return fmt.Errorf("bsplib: MP-BPRAM violation at step %d: processor %d receives more than one message",
@@ -443,12 +436,7 @@ func (e *engine) routeMIMD(barrier bool) {
 	sends := e.sendsBuf
 	step := &e.stepBuf
 	*step = comm.Step{Sends: sends, Barrier: barrier}
-	base := math.Inf(1)
-	for p := 0; p < e.n; p++ {
-		if e.clocks[p] < base {
-			base = e.clocks[p]
-		}
-	}
+	base := slices.Min(e.clocks)
 	offsets := e.offsetsBuf
 	any := false
 	for p := 0; p < e.n; p++ {
@@ -457,7 +445,7 @@ func (e *engine) routeMIMD(barrier bool) {
 			any = true
 		}
 		n := 0
-		for _, m := range e.outboxes[p] {
+		for _, m := range e.ctxs[p].outbox {
 			n += m.parts(w)
 		}
 		if cap(sends[p]) < n {
@@ -465,7 +453,7 @@ func (e *engine) routeMIMD(barrier bool) {
 		}
 		list := sends[p][:n]
 		k := 0
-		for _, m := range e.outboxes[p] {
+		for _, m := range e.ctxs[p].outbox {
 			// Every part but the last is one full word; a block is one
 			// part of its whole length.
 			parts := m.parts(w)
@@ -505,7 +493,7 @@ func (e *engine) routeMIMD(barrier bool) {
 func (e *engine) routeSIMD() {
 	hasStream, hasBlock := false, false
 	for p := 0; p < e.n; p++ {
-		for _, m := range e.outboxes[p] {
+		for _, m := range e.ctxs[p].outbox {
 			if m.stream {
 				hasStream = true
 			} else {
@@ -526,21 +514,17 @@ func (e *engine) routeSIMD() {
 	*step = comm.Step{Sends: sends, Barrier: true}
 
 	elapsed := sim.Time(0)
-	switch {
-	case !hasStream && !hasBlock:
-		// Pure barrier.
-		elapsed = e.priceStep(step, 1)
-		e.res.CommSteps++
-	case hasBlock:
+	if hasStream {
+		elapsed = e.priceStreams()
+	} else {
+		// Blocks, or none for a pure barrier.
 		for p := 0; p < e.n; p++ {
-			for _, m := range e.outboxes[p] {
+			for _, m := range e.ctxs[p].outbox {
 				sends[p] = append(sends[p], comm.Msg{Src: p, Dst: m.dst, Bytes: len(m.payload)})
 			}
 		}
 		elapsed = e.priceStep(step, 1)
 		e.res.CommSteps++
-	default:
-		elapsed = e.priceStreams()
 	}
 	for p := 0; p < e.n; p++ {
 		e.clocks[p] += elapsed
@@ -573,7 +557,7 @@ func (e *engine) priceStreams() sim.Time {
 	maxWords := 0
 	for p := 0; p < e.n; p++ {
 		pos := 0
-		for _, m := range e.outboxes[p] {
+		for _, m := range e.ctxs[p].outbox {
 			words := (len(m.payload) + w - 1) / w
 			runs[p] = append(runs[p], streamRun{dst: m.dst, start: pos, end: pos + words})
 			boundaries = append(boundaries, pos, pos+words)
@@ -658,7 +642,7 @@ func (e *engine) priceStep(step *comm.Step, repeat int) sim.Time {
 
 // deliver moves payloads to the destination inboxes in deterministic
 // order (by source, then send order), replacing the previous step's
-// deliveries.
+// deliveries, and empties the outboxes.
 //
 // Every payload is copied into the engine's delivery arena, so receivers
 // never alias sender memory: a sender regains ownership of its buffer the
@@ -666,12 +650,12 @@ func (e *engine) priceStep(step *comm.Step, repeat int) sim.Time {
 // was delivered. Each inbox entry is a capacity-capped sub-slice of the
 // arena, so one step costs at most one allocation, not one per message.
 func (e *engine) deliver() {
-	for p := 0; p < e.n; p++ {
-		e.inboxes[p] = e.inboxes[p][:0]
+	for p := range e.ctxs {
+		e.ctxs[p].inbox = e.ctxs[p].inbox[:0]
 	}
 	total := 0
 	for src := 0; src < e.n; src++ {
-		for _, m := range e.outboxes[src] {
+		for _, m := range e.ctxs[src].outbox {
 			total += len(m.payload)
 		}
 	}
@@ -683,14 +667,19 @@ func (e *engine) deliver() {
 	arena = arena[:total]
 	e.arenas[e.cur] = arena
 	off := 0
-	for src := 0; src < e.n; src++ {
-		for _, m := range e.outboxes[src] {
+	for src := range e.ctxs {
+		c := &e.ctxs[src]
+		for _, m := range c.outbox {
 			buf := arena[off : off+len(m.payload) : off+len(m.payload)]
 			off += len(m.payload)
 			copy(buf, m.payload)
-			e.inboxes[m.dst] = append(e.inboxes[m.dst], Message{Src: src, Tag: m.tag, Payload: buf})
+			d := &e.ctxs[m.dst]
+			d.inbox = append(d.inbox, Message{Src: src, Tag: m.tag, Payload: buf})
 		}
-		e.outboxes[src] = nil
+		// The sender's outbox backing is its own again: drop the payload
+		// references and keep the backing for its next step.
+		clear(c.outbox)
+		c.outbox = c.outbox[:0]
 	}
 	// The previous step's views die as their receivers leave this Sync,
 	// and any forwarded among them were copied above.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -392,6 +393,102 @@ func TestFailingRunErrorIsDeterministic(t *testing.T) {
 	}
 }
 
+// TestFailedRunLeavesNoGoroutine fails a 1,024-processor run at step 3,
+// twice. Run unwinds the programs still running and gives their
+// coroutines back for the next run, so the second run must leave the
+// goroutine count where it was. A coroutine left suspended in a program
+// would keep its stack and the machine alive, and the second run would
+// start new ones. The count may fall: the goroutine of the test before
+// this one can still be exiting when it is first read.
+func TestFailedRunLeavesNoGoroutine(t *testing.T) {
+	m := fakeMachine(1024, false, &fakeRouter{procs: 1024, base: 1, msgCost: 1})
+	fail := func() {
+		t.Helper()
+		_, err := Run(m, func(ctx *Context) {
+			for s := 0; s < 6; s++ {
+				if s == 3 && ctx.ID() == 700 {
+					panic("step 3")
+				}
+				ctx.Sync()
+			}
+		}, Options{Seed: 1})
+		if want := "bsplib: processor 700: panic: step 3"; err == nil || err.Error() != want {
+			t.Fatalf("error %v, want %q", err, want)
+		}
+	}
+	fail()
+	before := runtime.NumGoroutine()
+	fail()
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines after the second failed run, %d before it", after, before)
+	}
+}
+
+// TestRecoveringProgramStillUnwinds runs a program that recovers every
+// panic around its Sync calls on a run that fails at step 1. Each Sync
+// after the failure unwinds the program again, so it still returns, and
+// Run reports the failure, never the unwinding.
+func TestRecoveringProgramStillUnwinds(t *testing.T) {
+	const procs, steps = 4, 5
+	var unwound [procs]int
+	_, err := Run(fakeMachine(procs, false, &fakeRouter{procs: procs, base: 1, msgCost: 1}), func(ctx *Context) {
+		for s := 0; s < steps; s++ {
+			if s == 1 && ctx.ID() == 2 {
+				panic("PE 2")
+			}
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						unwound[ctx.ID()]++
+					}
+				}()
+				ctx.Sync()
+			}()
+		}
+	}, Options{Seed: 1})
+	if want := "bsplib: processor 2: panic: PE 2"; err == nil || err.Error() != want {
+		t.Fatalf("error %v, want %q", err, want)
+	}
+	// Steps 1 to 4 unwind every processor but the failed one.
+	if want := [procs]int{steps - 1, steps - 1, 0, steps - 1}; unwound != want {
+		t.Fatalf("unwound Syncs per processor %v, want %v", unwound, want)
+	}
+}
+
+// TestGoexitEndsTheCallingGoroutine calls runtime.Goexit in one
+// processor's program. As Run's doc says, that ends the goroutine that
+// called Run, and Run unwinds every other processor on the way out. The
+// coroutine that Goexit ended must not serve the next run.
+func TestGoexitEndsTheCallingGoroutine(t *testing.T) {
+	const procs = 64
+	m := fakeMachine(procs, false, &fakeRouter{procs: procs, base: 1, msgCost: 1})
+	ended := 0
+	returned := make(chan bool)
+	go func() {
+		ok := false
+		defer func() { returned <- ok }()
+		_, _ = Run(m, func(ctx *Context) {
+			defer func() { ended++ }()
+			ctx.Sync()
+			if ctx.ID() == 5 {
+				runtime.Goexit()
+			}
+			ctx.Sync()
+		}, Options{Seed: 1})
+		ok = true
+	}()
+	if <-returned {
+		t.Fatal("Run returned although a processor called runtime.Goexit")
+	}
+	if ended != procs {
+		t.Fatalf("%d of %d programs ended", ended, procs)
+	}
+	ran := 0
+	if _, err := Run(m, func(ctx *Context) { ran++; ctx.Sync() }, Options{Seed: 1}); err != nil || ran != procs {
+		t.Fatalf("next run: %d of %d programs ran, error %v", ran, procs, err)
+	}
+}
+
 func TestEarlyReturningProcessors(t *testing.T) {
 	r := &fakeRouter{procs: 4, base: 1, msgCost: 1}
 	res, err := Run(fakeMachine(4, false, r), func(ctx *Context) {
@@ -476,11 +573,16 @@ func TestContextGuards(t *testing.T) {
 	}
 }
 
-// TestRunRejectsBadArguments checks that Run refuses a nil machine, a nil
-// program and an unknown discipline with its own error, not a runtime one.
+// TestRunRejectsBadArguments checks that Run refuses a nil machine, a
+// machine not built by machine.Assemble that lacks its router or compute
+// model, a nil program and an unknown discipline with its own error, not a
+// runtime one.
 func TestRunRejectsBadArguments(t *testing.T) {
 	m := fakeMachine(2, false, &fakeRouter{procs: 2, base: 1, msgCost: 1})
-	prog := func(ctx *Context) { ctx.Sync() }
+	prog := func(ctx *Context) {
+		ctx.ChargeOps(1)
+		ctx.Sync()
+	}
 	cases := []struct {
 		name string
 		m    *machine.Machine
@@ -488,6 +590,8 @@ func TestRunRejectsBadArguments(t *testing.T) {
 		opt  Options
 	}{
 		{"nil machine", nil, prog, Options{}},
+		{"machine without a router", &machine.Machine{}, prog, Options{}},
+		{"machine without a compute model", &machine.Machine{Router: m.Router, WordBytes: 4}, prog, Options{}},
 		{"nil program", m, nil, Options{}},
 		{"unknown discipline", m, prog, Options{Discipline: 7}},
 	}

@@ -9,15 +9,26 @@ import (
 )
 
 // Context is a simulated processor's handle to the engine. Each processor
-// goroutine owns exactly one Context; none of its methods may be shared
-// across goroutines.
+// owns exactly one Context, which its program may use only on the goroutine
+// the engine runs it on.
 type Context struct {
 	e   *engine
 	id  int
-	rng *sim.RNG
+	rng sim.RNG
+	w   *worker // the coroutine that runs this processor's program
 
+	// compute, outbox and barrier are what this processor files at each
+	// synchronization. The engine reads them while the processor is
+	// suspended, folds compute into the clocks and empties the outbox.
 	compute sim.Time
 	outbox  []outMsg
+	barrier bool
+	// inbox holds what the last synchronization delivered.
+	inbox []Message
+	// ended is set once the program returned, err to the panic that ended
+	// it, if any.
+	ended bool
+	err   error
 
 	// lease is the arena PayloadBuf carves send-side payload buffers
 	// from. step empties it after each synchronization: the engine has
@@ -38,7 +49,7 @@ func (c *Context) Machine() *machine.Machine { return c.e.m }
 func (c *Context) WordBytes() int { return c.e.m.WordBytes }
 
 // RNG returns this processor's private deterministic random stream.
-func (c *Context) RNG() *sim.RNG { return c.rng }
+func (c *Context) RNG() *sim.RNG { return &c.rng }
 
 // Charge accounts t microseconds of local computation on this processor.
 // t must be non-negative and finite.
@@ -124,34 +135,36 @@ func (c *Context) Flush() {
 	c.step(c.e.m.SIMD)
 }
 
-// run executes prog as this processor and files the program's end: the
-// compute charged after its last synchronization and the panic that ended
-// it, if any. A processor unwound by a failed run passes through here too.
-func (c *Context) run(prog Program) {
+// unwind is the panic with which Sync and Flush end a program that Run
+// unwinds before it returns, after a failure. run recovers it like any
+// panic, but Run holds its error by then and never reads the unwound
+// processors' ones. A program that recovers it unwinds again at its next
+// synchronization.
+type unwind struct{}
+
+// run executes the program as this processor and keeps the panic that
+// ended it, if any, as its error.
+func (c *Context) run() {
 	defer func() {
-		s := slot{compute: c.compute, exited: true}
 		if r := recover(); r != nil {
-			s.err = fmt.Errorf("bsplib: processor %d: %w", c.id, panicError(r))
+			c.err = fmt.Errorf("bsplib: processor %d: %w", c.id, panicError(r))
 		}
-		c.e.slots[c.id] = s
-		c.e.arrive.Done()
 	}()
-	prog(c)
+	c.e.prog(c)
 }
 
+// step suspends this processor until the engine has priced and delivered
+// the step, or unwinds it if the run failed.
 func (c *Context) step(barrier bool) {
-	out := c.outbox
-	c.outbox = nil
-	c.e.sync(c.id, slot{outbox: out, compute: c.compute, barrier: barrier})
-	c.compute = 0
-	// The engine copied every payload into its own delivery arena before
-	// sync returned, so the outbox backing and the lease arena are this
-	// processor's again: clear the payload references and recycle both,
-	// making the steady-state send path allocation-free.
-	for i := range out {
-		out[i] = outMsg{}
+	c.barrier = barrier
+	c.w.yield(true)
+	if c.e.stopping {
+		panic(unwind{})
 	}
-	c.outbox = out[:0]
+	// The engine copied every payload into its own delivery arena before
+	// it resumed this processor, so the lease arena is this processor's
+	// again: recycle it, making the steady-state send path
+	// allocation-free.
 	poison(c.lease)
 	c.lease = c.lease[:0]
 }
@@ -164,7 +177,7 @@ func (c *Context) step(barrier bool) {
 // decode (copy) them before then and never retain them across it.
 func (c *Context) Recv(tag int) [][]byte {
 	var out [][]byte
-	for _, m := range c.e.inboxes[c.id] {
+	for _, m := range c.inbox {
 		if m.Tag == tag {
 			out = append(out, m.Payload)
 		}
@@ -177,7 +190,7 @@ func (c *Context) Recv(tag int) [][]byte {
 // validity rule as Recv applies: the slice is an engine-owned delivery
 // buffer, dead and under -race poisoned after the next Sync/Flush.
 func (c *Context) RecvFrom(src, tag int) []byte {
-	for _, m := range c.e.inboxes[c.id] {
+	for _, m := range c.inbox {
 		if m.Src == src && m.Tag == tag {
 			return m.Payload
 		}
@@ -204,7 +217,7 @@ type Message struct {
 // by source processor and send order. The returned slice and its payloads
 // are valid until this processor's next Sync/Flush.
 func (c *Context) RecvMsgs() []Message {
-	return c.e.inboxes[c.id]
+	return c.inbox
 }
 
 // Now returns this processor's current simulated clock, including charges
