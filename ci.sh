@@ -7,14 +7,18 @@
 #   3. the full test suite passes under the race detector with shuffled
 #      test order (-shuffle=on), so no test depends on a sibling running
 #      first, and the superstep engine's tests pass ten more times under
-#      it. The engine resumes its processors as coroutines, one at a time
-#      in index order, so no processor interleaving is left to catch: the
-#      repeated run guards the coroutine hand-offs between the engine and
-#      its processors, and the poison writes between them. The race
-#      build poisons every released bsplib buffer, so a program that
-#      reads a lease or delivery view past its Sync fails its own
-#      verification. internal/analysis starts no goroutine, so its tests
-#      run shuffled without the detector;
+#      it. On a large machine the engine resumes its processors in lanes,
+#      on the goroutine that called Run and on helper goroutines at the
+#      same time, so two processors of one Run that share memory race:
+#      the repeated run guards the hand-offs between the engine, its
+#      helpers and the processors, and the poison writes between them.
+#      The engine and the four algorithms then pass once more at
+#      GOMAXPROCS 4 (-cpu 4), so that several lanes run under the
+#      detector on any host, whatever its CPU count. The race build
+#      poisons every released bsplib buffer, so a program that reads a
+#      lease or delivery view past its Sync fails its own verification.
+#      internal/analysis starts no goroutine, so its tests run shuffled
+#      without the detector;
 #   4. qpvet (internal/analysis) reports no determinism, sim.Time,
 #      RNG-stream, or fault-RNG violations anywhere in the module, and no
 #      //qpvet:ignore directive has gone stale;
@@ -98,6 +102,7 @@ stage "go test -race -shuffle=on ./..."
 go test -race -shuffle=on -timeout 1800s $(go list ./... | grep -v '/internal/analysis$')
 go test -shuffle=on ./internal/analysis/
 go test -race -count=10 ./internal/bsplib/
+go test -race -cpu 4 ./internal/bsplib/ ./internal/algorithms/...
 
 stage "qpvet ./..."
 go run ./cmd/qpvet ./...

@@ -164,9 +164,9 @@ func wordProgram(m *machine.Machine, ly layout, v Variant, a, b, out *linalg.Mat
 		var sc encScratch
 		var ws workspace
 		ws.init(ly)
-		ly.subblockInto(&ws.myA, a, i, j, k)
+		myA := ws.ownA(ly, a, i, j, k)
 		ly.subblockInto(&ws.myB, b, i, j, k)
-		aPay := sc.encode(ctx, m, ws.myA.Data)
+		aPay := sc.encode(ctx, m, myA.Data)
 		bPay := sc.encode(ctx, m, ws.myB.Data)
 
 		// Superstep 1: replicate A_ij^k over <i,j,*> and B_ij^k over
@@ -188,7 +188,6 @@ func wordProgram(m *machine.Machine, ly layout, v Variant, a, b, out *linalg.Mat
 
 		// Assemble A_ij and B_jk.
 		aFull := &ws.aFull
-		aFull.SetBlock(k*ly.blkR, 0, &ws.myA)
 		for l := 0; l < q; l++ {
 			if l == k {
 				continue
@@ -213,10 +212,8 @@ func wordProgram(m *machine.Machine, ly layout, v Variant, a, b, out *linalg.Mat
 			bFull.SetBlock(l*ly.blkR, 0, sc.slabOf(m, pay, ly))
 		}
 
-		// Superstep 2: local multiply (chat starts zeroed in the fresh
-		// workspace, so the add form computes the plain product).
-		chat := &ws.chat
-		linalg.MatMulAdd(chat, aFull, bFull)
+		// Superstep 2: local multiply; C_hat replaces A_ij.
+		chat := ws.product()
 		ctx.Charge(m.Compute.MatMulTime(ly.blkC, ly.blkC, ly.blkC))
 
 		// Superstep 3: route slab l of C_hat to <i,k,l>. The free sender
@@ -279,12 +276,11 @@ func bpramProgram(m *machine.Machine, ly layout, a, b, out *linalg.Mat) bsplib.P
 		var sc encScratch
 		var ws workspace
 		ws.init(ly)
-		ly.subblockInto(&ws.myA, a, i, j, k)
+		myA := ws.ownA(ly, a, i, j, k)
 		ly.subblockInto(&ws.myB, b, i, j, k)
-		myA, myB := &ws.myA, &ws.myB
+		myB := &ws.myB
 
 		aFull := &ws.aFull
-		aFull.SetBlock(k*ly.blkR, 0, myA)
 		// A phase: round r sends A_ij^k to <i,j,(k+r)%q>; the incoming
 		// slab is A_ij^{(k-r)%q} from <i,j,(k-r)%q>. The slab is re-encoded
 		// each round (byte-identical every time): payload buffers are leased
@@ -323,8 +319,7 @@ func bpramProgram(m *machine.Machine, ly layout, a, b, out *linalg.Mat) bsplib.P
 			bFull.SetBlock(l*ly.blkR, 0, sc.slabOf(m, pay, ly))
 		}
 
-		chat := &ws.chat
-		linalg.MatMulAdd(chat, aFull, bFull)
+		chat := ws.product()
 		ctx.Charge(m.Compute.MatMulTime(ly.blkC, ly.blkC, ly.blkC))
 
 		// C phase: round r sends slab l=(j+r)%q to <i,k,l>; the incoming
@@ -361,29 +356,70 @@ func bpramProgram(m *machine.Machine, ly layout, a, b, out *linalg.Mat) bsplib.P
 }
 
 // workspace fuses every per-processor matrix of one kernel invocation -
-// local subblocks, assembled operands, local product, accumulator - into a
-// single backing allocation carved into views.
+// the local B subblock, the assembled operands, the accumulator and one
+// product row - into a single backing allocation carved into views. The
+// local A subblock lives in its rows of aFull, and the local product
+// overwrites aFull.
 type workspace struct {
-	myA, myB, aFull, bFull, chat, acc linalg.Mat
-	backing                           []float64
+	myB, aFull, bFull, acc linalg.Mat
+	row                    []float64
+	backing                []float64
 }
 
 func (ws *workspace) init(ly layout) {
 	slab := ly.blkR * ly.blkC
 	full := ly.blkC * ly.blkC
-	ws.backing = make([]float64, 3*slab+3*full)
+	ws.backing = make([]float64, 2*slab+2*full+ly.blkC)
 	d := ws.backing
 	carve := func(rows, cols int) linalg.Mat {
 		m := linalg.Mat{Rows: rows, Cols: cols, Data: d[: rows*cols : rows*cols]}
 		d = d[rows*cols:]
 		return m
 	}
-	ws.myA = carve(ly.blkR, ly.blkC)
 	ws.myB = carve(ly.blkR, ly.blkC)
 	ws.aFull = carve(ly.blkC, ly.blkC)
 	ws.bFull = carve(ly.blkC, ly.blkC)
-	ws.chat = carve(ly.blkC, ly.blkC)
 	ws.acc = carve(ly.blkR, ly.blkC)
+	ws.row = d
+}
+
+// ownA copies A_ij^k into its rows of aFull and returns that view, which
+// stays intact until product overwrites aFull.
+func (ws *workspace) ownA(ly layout, a *linalg.Mat, i, j, k int) linalg.Mat {
+	myA := ws.aFull.RowSpan(k*ly.blkR, ly.blkR)
+	ly.subblockInto(&myA, a, i, j, k)
+	return myA
+}
+
+// product overwrites aFull with aFull x bFull and returns it.
+func (ws *workspace) product() *linalg.Mat {
+	mulInPlace(&ws.aFull, &ws.bFull, ws.row)
+	return &ws.aFull
+}
+
+// mulInPlace overwrites a with a x b, a row at a time: row i of the
+// product needs only row i of a, so it is built in row (len b.Cols) and
+// copied back over it. The operations and their order are those of
+// linalg.MatMulAdd into a zero matrix (i-k-j, skipping zero a_ik), so the
+// product is bit-identical.
+func mulInPlace(a, b *linalg.Mat, row []float64) {
+	if a.Cols != b.Rows || b.Rows != b.Cols || len(row) != b.Cols {
+		panic("matmul: in-place product shape mismatch")
+	}
+	for i := 0; i < a.Rows; i++ {
+		clear(row)
+		ai := a.Data[i*a.Cols : (i+1)*a.Cols]
+		for k, aik := range ai {
+			if aik == 0 {
+				continue
+			}
+			bk := b.Data[k*b.Cols : (k+1)*b.Cols]
+			for j := range row {
+				row[j] += aik * bk[j]
+			}
+		}
+		copy(ai, row)
+	}
 }
 
 // encScratch is per-processor encode/decode scratch. Each processor

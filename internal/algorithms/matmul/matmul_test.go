@@ -2,11 +2,14 @@ package matmul
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"quantpar/internal/faults"
+	"quantpar/internal/linalg"
 	"quantpar/internal/machine"
 	_ "quantpar/internal/machine/backends"
+	"quantpar/internal/sim"
 )
 
 func machines(t *testing.T) map[string]*machine.Machine {
@@ -135,6 +138,35 @@ func TestDeterministicTiming(t *testing.T) {
 	}
 	if a.Run.Time == c.Run.Time {
 		t.Log("different seeds produced identical times (plausible but noteworthy)")
+	}
+}
+
+// TestInPlaceProductMatchesMatMulAdd compares the workspace's
+// row-at-a-time product with linalg.MatMulAdd into a zero matrix, bit for
+// bit, on random blocks a quarter of whose entries are zero: the zeros in
+// A take the skipped-term path, those in B only change values.
+func TestInPlaceProductMatchesMatMulAdd(t *testing.T) {
+	rng := sim.NewRNG(5)
+	for _, n := range []int{1, 4, 32, 40} {
+		a := linalg.NewMat(n, n).Random(rng)
+		b := linalg.NewMat(n, n).Random(rng)
+		for i := range a.Data {
+			if rng.Intn(4) == 0 {
+				a.Data[i] = 0
+			}
+			if rng.Intn(4) == 0 {
+				b.Data[i] = 0
+			}
+		}
+		want := linalg.NewMat(n, n)
+		linalg.MatMulAdd(want, a, b)
+		got := a.Clone()
+		mulInPlace(got, b, make([]float64, n))
+		for i, w := range want.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(w) {
+				t.Fatalf("n = %d: entry (%d, %d) is %v in place, %v from MatMulAdd", n, i/n, i%n, got.Data[i], w)
+			}
+		}
 	}
 }
 

@@ -19,9 +19,8 @@ import (
 // charges only the difference to the 8 extra supersteps.
 func TestSuperstepAllocsDoNotScaleWithMessages(t *testing.T) {
 	const maxPerStep = 64
-	// Each GC empties the runtime's central cache of the records parked
-	// goroutines wait on, so the next Run's processors allocate new ones.
-	// The engine is not at fault, so GC stays off while the test counts.
+	// GC stays off while the test counts, so that no collection falls
+	// inside a counted Run.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	words := []uint32{1, 2, 3, 4, 5, 6, 7, 8}
 	cases := []struct {
@@ -40,8 +39,9 @@ func TestSuperstepAllocsDoNotScaleWithMessages(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The fewest mallocs of 3 Runs: where the runtime parks and
-			// wakes the P processor goroutines still adds a little noise.
+			// The fewest mallocs of 3 Runs: the runtime allocates a
+			// record for a Run's helper goroutine only when it has no
+			// free one to reuse.
 			mallocs := func(steps int) uint64 {
 				prog := func(ctx *Context) {
 					for s := 0; s < steps; s++ {

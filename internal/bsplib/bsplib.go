@@ -1,11 +1,15 @@
 // Package bsplib is the parallel programming library of this reproduction:
 // a superstep (BSP-style) execution engine that runs P-processor programs
 // on a simulated machine. Programs are ordinary Go functions, one per
-// simulated processor, which the engine runs as coroutines on the goroutine
-// that called Run: every superstep it resumes each processor in index order
-// until the processor synchronizes. Programs compute real results on real
-// data while the engine accounts simulated time - local computation through
-// the machine's compute model, communication through its router simulator.
+// simulated processor, which the engine runs as coroutines: every superstep
+// it resumes each processor until the processor synchronizes. On a large
+// machine the processors are split into lanes, contiguous index ranges
+// that helper goroutines resume on idle CPUs while the goroutine that
+// called Run resumes the first; that goroutine then checks, prices and
+// delivers the step in processor order, so results do not depend on the
+// lanes. Programs compute real results on real data while the engine
+// accounts simulated time - local computation through the machine's
+// compute model, communication through its router simulator.
 //
 // The engine supports the programming disciplines the paper's algorithms
 // use:
@@ -23,8 +27,10 @@ package bsplib
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"quantpar/internal/comm"
 	"quantpar/internal/faults"
@@ -115,19 +121,64 @@ var workers struct {
 	idle []*worker
 }
 
+// minLaneProcs is the fewest live processors a lane resumes, so a step
+// runs in lanes only from 2 × minLaneProcs live processors on. A resume
+// costs about 0.25 µs (an iter.Pull round trip), and a lane handed to a
+// helper adds the hand-off and the cache misses of the step's later
+// passes over processors another CPU resumed. An empty step on a fake
+// SIMD router took, in one lane and in two (median of 21 Runs of 400
+// steps, 2-vCPU VM, Go 1.24): 14 and 20 µs at P = 64, 33 and 32 µs at
+// P = 128, 63 and 57 µs at P = 256, 139 and 112 µs at P = 512. Two lanes
+// break even near 64 processors each and gain from 128.
+const minLaneProcs = 128
+
+// heldHelpers counts the helper goroutines that running Runs hold. A Run
+// takes helpers without waiting and only while fewer than GOMAXPROCS-1
+// are held, so a lone Run gets the idle CPUs and Runs that already keep
+// every CPU busy, as parallel sweeps do, get few or none.
+var heldHelpers atomic.Int32
+
+// takeHelpers takes up to want helpers from the pool and returns how many
+// it took.
+func takeHelpers(want int) int {
+	for {
+		held := heldHelpers.Load()
+		k := min(int32(want), int32(runtime.GOMAXPROCS(0)-1)-held)
+		if k <= 0 {
+			return 0
+		}
+		if heldHelpers.CompareAndSwap(held, held+k) {
+			return int(k)
+		}
+	}
+}
+
 // engine is the state of one run. Only the goroutine that called Run
-// touches it, and the processors' Contexts too: a processor's program runs
-// only while the engine resumes it, so the engine reads and resets a
-// Context's outbox, compute charge and inbox between two resumptions.
+// touches it, apart from the lanes: while a step's lanes run, each
+// processor's Context is touched only by the goroutine that resumes it,
+// and helpers only read the engine. A processor's program runs only while
+// it is resumed, so the engine reads and resets a Context's outbox,
+// compute charge and inbox between two resumptions.
 type engine struct {
 	m    *machine.Machine
 	n    int
 	opt  Options
 	prog Program
 
-	ctxs     []Context // the processors, in index and resume order
+	ctxs     []Context // the processors, in index order
+	live     []int     // the processors whose programs have not ended, in index order
 	err      error
 	stopping bool // Run is unwinding the programs still running
+
+	// Lanes (see resume). Each step in lanes is a turn of the helpers:
+	// the high 32 bits of turn count the turns, the low 32 hold the
+	// turn's lane count, 0 to stop the helpers. Helper j runs lane j of
+	// every turn with more than j lanes.
+	helpers int
+	turn    atomic.Uint64
+	pending atomic.Int32 // helper lanes of the current step still running
+	goexit  atomic.Bool  // a program ended a helper with runtime.Goexit
+	helping sync.WaitGroup
 
 	clocks []sim.Time
 
@@ -165,14 +216,20 @@ type engine struct {
 //   - an error naming the step for Sync/Flush disagreement, an MP-BPRAM
 //     violation, or word streams mixed with blocks on a SIMD machine;
 //   - a "bsplib: " error for a nil machine, a machine without a router or
-//     compute model, a nil program or an unknown discipline, returned
-//     before any processor starts.
+//     compute model or with a word size below one byte, a nil program or
+//     an unknown discipline, returned before any processor starts.
 //
-// The processors run as coroutines on the goroutine that called Run. A
-// program that calls runtime.Goexit (t.FailNow does) therefore ends that
-// goroutine; Run unwinds the other processors before it goes. The
-// coroutines serve one run after another, so Run must not be called on a
-// goroutine locked to its thread (runtime.LockOSThread).
+// The processors run as coroutines. The goroutine that called Run resumes
+// them, and on a machine of 256 processors or more up to GOMAXPROCS-1
+// helper goroutines, shared with every other running Run, resume
+// contiguous ranges of them at the same time; Run waits for its helpers
+// to exit before it returns. Programs of one Run may therefore run
+// in parallel between two synchronizations, and must not share memory that
+// one of them writes in that time. A program that calls runtime.Goexit
+// (t.FailNow does) ends the goroutine that called Run, in whichever lane it
+// runs; Run unwinds the other processors before it goes. The coroutines
+// serve one run after another, so Run must not be called on a goroutine
+// locked to its thread (runtime.LockOSThread).
 func Run(m *machine.Machine, prog Program, opt Options) (*RunResult, error) {
 	switch {
 	case m == nil:
@@ -181,6 +238,8 @@ func Run(m *machine.Machine, prog Program, opt Options) (*RunResult, error) {
 		return nil, errors.New("bsplib: machine has no router")
 	case m.Compute == nil:
 		return nil, errors.New("bsplib: machine has no compute model")
+	case m.WordBytes <= 0:
+		return nil, fmt.Errorf("bsplib: machine word size %d bytes, want at least 1", m.WordBytes)
 	case prog == nil:
 		return nil, errors.New("bsplib: nil program")
 	case opt.Discipline != DisciplineNone && opt.Discipline != DisciplineMPBPRAM:
@@ -193,6 +252,7 @@ func Run(m *machine.Machine, prog Program, opt Options) (*RunResult, error) {
 		opt:        opt,
 		prog:       prog,
 		ctxs:       make([]Context, n),
+		live:       make([]int, n),
 		clocks:     make([]sim.Time, n),
 		sendsBuf:   make([][]comm.Msg, n),
 		offsetsBuf: make([]sim.Time, n),
@@ -219,6 +279,7 @@ func Run(m *machine.Machine, prog Program, opt Options) (*RunResult, error) {
 	for p := range e.ctxs {
 		c := &e.ctxs[p]
 		c.e, c.id = e, p
+		e.live[p] = p
 		c.rng = *e.rng.Split(uint64(0xC0FFEE + p))
 		c.outbox = outs[16*p : 16*p : 16*p+16]
 		c.inbox = ins[16*p : 16*p : 16*p+16]
@@ -231,6 +292,7 @@ func Run(m *machine.Machine, prog Program, opt Options) (*RunResult, error) {
 	}
 	workers.Unlock()
 	defer e.release()
+	e.startHelpers()
 	for e.step() > 0 && e.err == nil {
 	}
 	if e.err != nil {
@@ -251,11 +313,70 @@ func Run(m *machine.Machine, prog Program, opt Options) (*RunResult, error) {
 	return &e.res, nil
 }
 
-// release unwinds every program still running - after a failure, those
-// that synchronized on the failing step, resumed again if they recover
-// the unwinding panic and synchronize again - and gives the workers back,
-// all but one whose program ended its coroutine with runtime.Goexit.
+// startHelpers takes a helper for each further lane the machine allows
+// from the pool, as many as it can without waiting, and starts them.
+func (e *engine) startHelpers() {
+	e.helpers = takeHelpers(e.n/minLaneProcs - 1)
+	e.helping.Add(e.helpers)
+	for j := 1; j <= e.helpers; j++ {
+		go e.help(j)
+	}
+}
+
+// publish starts the next turn of the helpers, with the given lane count.
+func (e *engine) publish(lanes int) {
+	e.turn.Store((e.turn.Load()>>32+1)<<32 | uint64(lanes))
+}
+
+// help runs lane j of every turn that has one, spinning between turns: a
+// blocking hand-off costs as much as the lane saves. A program that calls
+// runtime.Goexit ends this goroutine; help then tells the engine, which
+// ends the goroutine that called Run.
+func (e *engine) help(j int) {
+	inLane := false
+	defer func() {
+		if inLane {
+			e.goexit.Store(true)
+			e.pending.Add(-1)
+		}
+		e.helping.Done()
+	}()
+	for seen := uint64(0); ; {
+		t := e.turn.Load()
+		if t == seen {
+			runtime.Gosched()
+			continue
+		}
+		seen = t
+		lanes := int(uint32(t))
+		if lanes == 0 {
+			return
+		}
+		if j < lanes {
+			inLane = true
+			e.resumeLane(j, lanes)
+			inLane = false
+			e.pending.Add(-1)
+		}
+	}
+}
+
+// release stops the helpers, once their lanes of the current step are
+// done, and gives them back. Then it unwinds every program still running
+// - after a failure, those that synchronized on the failing step, resumed
+// again if they recover the unwinding panic and synchronize again - and
+// gives the workers back, all but those whose program ended its coroutine
+// with runtime.Goexit.
 func (e *engine) release() {
+	for e.pending.Load() > 0 {
+		runtime.Gosched()
+	}
+	if e.helpers > 0 {
+		e.publish(0)
+		e.helping.Wait()
+		heldHelpers.Add(-int32(e.helpers))
+	}
+
 	e.stopping = true
 	for p := range e.ctxs {
 		w := e.ctxs[p].w
@@ -280,23 +401,21 @@ func panicError(r any) error {
 	return fmt.Errorf("panic: %v", r)
 }
 
-// step resumes every processor whose program has not ended, in index
-// order, each until it synchronizes or its program ends, and returns how
-// many synchronized. It takes the first program panic in processor order
-// as the run's error, then checks, prices and delivers the step the
-// synchronized processors filed.
+// step resumes every processor whose program has not ended, each until it
+// synchronizes or its program ends, and returns how many synchronized.
+// Then, in processor order, it drops the ended programs from the live
+// list, takes the first program panic as the run's error, and checks,
+// prices and delivers the step the synchronized processors filed.
 func (e *engine) step() (live int) {
+	e.resume()
 	barrier := false
-	for p := range e.ctxs {
+	for _, p := range e.live {
 		c := &e.ctxs[p]
-		if c.ended {
-			continue
-		}
-		if synced, _ := c.w.next(); !synced {
+		if !c.synced {
 			// An ended program's unsynchronized sends are dropped; the
 			// compute it charged after its last sync stays in c.compute,
 			// which still occupies its processor.
-			c.ended, c.outbox = true, nil
+			c.outbox = nil
 			if e.err == nil {
 				e.err = c.err
 			}
@@ -307,12 +426,46 @@ func (e *engine) step() (live int) {
 		} else if c.barrier != barrier && e.err == nil {
 			e.err = fmt.Errorf("bsplib: processors disagree on step type (barrier vs flush) at step %d", e.stepIdx)
 		}
+		e.live[live] = p
 		live++
 	}
+	e.live = e.live[:live]
 	if e.err == nil && live > 0 {
 		e.route(barrier)
 	}
 	return live
+}
+
+// resume resumes every live processor until it synchronizes or its
+// program ends. With enough live processors and helpers it splits them
+// into lanes with equal numbers of live processors: this goroutine resumes
+// the first lane and the helpers the others, at the same time. A
+// runtime.Goexit in a helper's lane is repeated here once every lane is
+// done.
+func (e *engine) resume() {
+	lanes := min(e.helpers+1, len(e.live)/minLaneProcs)
+	if lanes <= 1 {
+		e.resumeLane(0, 1)
+		return
+	}
+	e.pending.Store(int32(lanes - 1))
+	e.publish(lanes)
+	e.resumeLane(0, lanes)
+	for e.pending.Load() > 0 {
+		runtime.Gosched()
+	}
+	if e.goexit.Load() {
+		runtime.Goexit()
+	}
+}
+
+// resumeLane resumes the processors of lane j of lanes.
+func (e *engine) resumeLane(j, lanes int) {
+	n := len(e.live)
+	for _, p := range e.live[j*n/lanes : (j+1)*n/lanes] {
+		c := &e.ctxs[p]
+		c.synced, _ = c.w.next()
+	}
 }
 
 // route prices and delivers the gathered step. A router fails by panicking

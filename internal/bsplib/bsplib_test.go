@@ -6,6 +6,7 @@ import (
 	"math"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -393,20 +394,34 @@ func TestFailingRunErrorIsDeterministic(t *testing.T) {
 	}
 }
 
+// atLeastTwoCPUs raises GOMAXPROCS to 2 for the rest of the test if it is
+// lower, so that a Run of 2 × minLaneProcs processors or more gets a
+// helper.
+func atLeastTwoCPUs(t *testing.T) {
+	if n := runtime.GOMAXPROCS(0); n < 2 {
+		runtime.GOMAXPROCS(2)
+		t.Cleanup(func() { runtime.GOMAXPROCS(n) })
+	}
+}
+
 // TestFailedRunLeavesNoGoroutine fails a 1,024-processor run at step 3,
-// twice. Run unwinds the programs still running and gives their
-// coroutines back for the next run, so the second run must leave the
+// twice, with a helper resuming the failing processor's lane. Run unwinds
+// the programs still running, gives their coroutines back for the next
+// run and waits for its helpers to exit, so the second run must leave the
 // goroutine count where it was. A coroutine left suspended in a program
 // would keep its stack and the machine alive, and the second run would
 // start new ones. The count may fall: the goroutine of the test before
 // this one can still be exiting when it is first read.
 func TestFailedRunLeavesNoGoroutine(t *testing.T) {
+	atLeastTwoCPUs(t)
 	m := fakeMachine(1024, false, &fakeRouter{procs: 1024, base: 1, msgCost: 1})
 	fail := func() {
 		t.Helper()
+		var held atomic.Int32
 		_, err := Run(m, func(ctx *Context) {
 			for s := 0; s < 6; s++ {
 				if s == 3 && ctx.ID() == 700 {
+					held.Store(heldHelpers.Load())
 					panic("step 3")
 				}
 				ctx.Sync()
@@ -415,12 +430,129 @@ func TestFailedRunLeavesNoGoroutine(t *testing.T) {
 		if want := "bsplib: processor 700: panic: step 3"; err == nil || err.Error() != want {
 			t.Fatalf("error %v, want %q", err, want)
 		}
+		if held.Load() == 0 {
+			t.Fatal("the run held no helper")
+		}
 	}
 	fail()
 	before := runtime.NumGoroutine()
 	fail()
 	if after := runtime.NumGoroutine(); after > before {
 		t.Fatalf("%d goroutines after the second failed run, %d before it", after, before)
+	}
+}
+
+// TestLanesDoNotChangeResults runs one 1,024-processor program at
+// GOMAXPROCS 1, 2 and 4, that is in one, two and four lanes, on a MIMD and
+// a SIMD machine. Its processors draw from their RNGs, charge compute,
+// send messages of varied length to random processors and fold what they
+// receive into a hash; a third of them return early, at different steps,
+// which moves the lane boundaries. The RunResult and every hash must be
+// the same in every lane count, and a Run must hold GOMAXPROCS-1 helpers.
+func TestLanesDoNotChangeResults(t *testing.T) {
+	const procs = 1024
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	prog := func(out []uint64, held *atomic.Int32) Program {
+		return func(ctx *Context) {
+			id, rng := ctx.ID(), ctx.RNG()
+			if id == 0 {
+				held.Store(heldHelpers.Load())
+			}
+			h := uint64(id)
+			for s := 0; s < 6; s++ {
+				if id%3 == 0 && s == 1+id%5 {
+					break
+				}
+				ctx.Charge(float64(rng.Intn(100)))
+				for range rng.Intn(3) {
+					buf := ctx.PayloadBuf(1 + rng.Intn(64))
+					for i := range buf {
+						buf[i] = byte(rng.Uint32())
+					}
+					ctx.Send(rng.Intn(procs), s, buf)
+				}
+				ctx.Sync()
+				for _, m := range ctx.RecvMsgs() {
+					h = (h^uint64(m.Src)<<8^uint64(m.Tag))*1099511628211 + uint64(len(m.Payload))
+					for _, b := range m.Payload {
+						h = (h ^ uint64(b)) * 1099511628211
+					}
+				}
+			}
+			out[id] = h
+		}
+	}
+	for _, simd := range []bool{false, true} {
+		var first RunResult
+		var firstOut []uint64
+		for _, cpus := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(cpus)
+			out := make([]uint64, procs)
+			var held atomic.Int32
+			// A machine of its own per Run: each starts with a cold phase
+			// memo, so the memo hits agree too.
+			m := fakeMachine(procs, simd, &fakeRouter{procs: procs, base: 2, msgCost: 1})
+			res, err := Run(m, prog(out, &held), Options{Seed: 9})
+			if err != nil {
+				t.Fatalf("SIMD %v, GOMAXPROCS %d: %v", simd, cpus, err)
+			}
+			if got := held.Load(); got != int32(cpus-1) {
+				t.Errorf("SIMD %v, GOMAXPROCS %d: the run held %d helpers, want %d", simd, cpus, got, cpus-1)
+			}
+			if firstOut == nil {
+				first, firstOut = *res, out
+				continue
+			}
+			if *res != first {
+				t.Errorf("SIMD %v, GOMAXPROCS %d: result %+v, at GOMAXPROCS 1 %+v", simd, cpus, *res, first)
+			}
+			for p := range out {
+				if out[p] != firstOut[p] {
+					t.Errorf("SIMD %v, GOMAXPROCS %d: processor %d hashed %#x, at GOMAXPROCS 1 %#x", simd, cpus, p, out[p], firstOut[p])
+					break
+				}
+			}
+		}
+	}
+}
+
+// TestConcurrentRunsShareHelpers runs four 1,024-processor programs at
+// once at GOMAXPROCS 2. Between them they may hold one helper at a time,
+// and none once every Run has returned.
+func TestConcurrentRunsShareHelpers(t *testing.T) {
+	const procs, runs = 1024, 4
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	var most atomic.Int32
+	var wg sync.WaitGroup
+	errs := make([]error, runs)
+	for r := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m := fakeMachine(procs, false, &fakeRouter{procs: procs, base: 1, msgCost: 1})
+			_, errs[r] = Run(m, func(ctx *Context) {
+				for s := 0; s < 20; s++ {
+					if ctx.ID()%256 == 0 {
+						h := heldHelpers.Load()
+						for old := most.Load(); h > old && !most.CompareAndSwap(old, h); old = most.Load() {
+						}
+					}
+					ctx.Sync()
+				}
+			}, Options{Seed: uint64(r)})
+		}()
+	}
+	wg.Wait()
+	for r, err := range errs {
+		if err != nil {
+			t.Errorf("run %d: %v", r, err)
+		}
+	}
+	if got := most.Load(); got != 1 {
+		t.Errorf("the runs held at most %d helpers at once, want 1", got)
+	}
+	if got := heldHelpers.Load(); got != 0 {
+		t.Errorf("%d helpers held after every run returned", got)
 	}
 }
 
@@ -456,36 +588,44 @@ func TestRecoveringProgramStillUnwinds(t *testing.T) {
 }
 
 // TestGoexitEndsTheCallingGoroutine calls runtime.Goexit in one
-// processor's program. As Run's doc says, that ends the goroutine that
-// called Run, and Run unwinds every other processor on the way out. The
-// coroutine that Goexit ended must not serve the next run.
+// processor's program, on 64 processors, which run in one lane, and on
+// 1,024, where the processor is in the last lane and a helper resumes it.
+// As Run's doc says, that ends the goroutine that called Run, and Run
+// unwinds every other processor on the way out. The coroutine that Goexit
+// ended must not serve the next run.
 func TestGoexitEndsTheCallingGoroutine(t *testing.T) {
-	const procs = 64
-	m := fakeMachine(procs, false, &fakeRouter{procs: procs, base: 1, msgCost: 1})
-	ended := 0
-	returned := make(chan bool)
-	go func() {
-		ok := false
-		defer func() { returned <- ok }()
-		_, _ = Run(m, func(ctx *Context) {
-			defer func() { ended++ }()
-			ctx.Sync()
-			if ctx.ID() == 5 {
-				runtime.Goexit()
-			}
-			ctx.Sync()
-		}, Options{Seed: 1})
-		ok = true
-	}()
-	if <-returned {
-		t.Fatal("Run returned although a processor called runtime.Goexit")
-	}
-	if ended != procs {
-		t.Fatalf("%d of %d programs ended", ended, procs)
-	}
-	ran := 0
-	if _, err := Run(m, func(ctx *Context) { ran++; ctx.Sync() }, Options{Seed: 1}); err != nil || ran != procs {
-		t.Fatalf("next run: %d of %d programs ran, error %v", ran, procs, err)
+	atLeastTwoCPUs(t)
+	for _, c := range []struct{ procs, exiter int }{{64, 5}, {1024, 1000}} {
+		m := fakeMachine(c.procs, false, &fakeRouter{procs: c.procs, base: 1, msgCost: 1})
+		var ended, held atomic.Int32
+		returned := make(chan bool)
+		go func() {
+			ok := false
+			defer func() { returned <- ok }()
+			_, _ = Run(m, func(ctx *Context) {
+				defer ended.Add(1)
+				ctx.Sync()
+				if ctx.ID() == c.exiter {
+					held.Store(heldHelpers.Load())
+					runtime.Goexit()
+				}
+				ctx.Sync()
+			}, Options{Seed: 1})
+			ok = true
+		}()
+		if <-returned {
+			t.Fatalf("%d processors: Run returned although a processor called runtime.Goexit", c.procs)
+		}
+		if got := ended.Load(); got != int32(c.procs) {
+			t.Fatalf("%d processors: %d programs ended", c.procs, got)
+		}
+		if c.procs >= 2*minLaneProcs && held.Load() == 0 {
+			t.Fatalf("%d processors: the run held no helper", c.procs)
+		}
+		var ran atomic.Int32
+		if _, err := Run(m, func(ctx *Context) { ran.Add(1); ctx.Sync() }, Options{Seed: 1}); err != nil || ran.Load() != int32(c.procs) {
+			t.Fatalf("%d processors: next run: %d programs ran, error %v", c.procs, ran.Load(), err)
+		}
 	}
 }
 
@@ -575,8 +715,8 @@ func TestContextGuards(t *testing.T) {
 
 // TestRunRejectsBadArguments checks that Run refuses a nil machine, a
 // machine not built by machine.Assemble that lacks its router or compute
-// model, a nil program and an unknown discipline with its own error, not a
-// runtime one.
+// model or has no word size, a nil program and an unknown discipline with
+// its own error, not a runtime one.
 func TestRunRejectsBadArguments(t *testing.T) {
 	m := fakeMachine(2, false, &fakeRouter{procs: 2, base: 1, msgCost: 1})
 	prog := func(ctx *Context) {
@@ -592,6 +732,7 @@ func TestRunRejectsBadArguments(t *testing.T) {
 		{"nil machine", nil, prog, Options{}},
 		{"machine without a router", &machine.Machine{}, prog, Options{}},
 		{"machine without a compute model", &machine.Machine{Router: m.Router, WordBytes: 4}, prog, Options{}},
+		{"machine with a zero word size", &machine.Machine{Router: m.Router, Compute: m.Compute}, prog, Options{}},
 		{"nil program", m, nil, Options{}},
 		{"unknown discipline", m, prog, Options{Discipline: 7}},
 	}

@@ -25,10 +25,10 @@ type Context struct {
 	barrier bool
 	// inbox holds what the last synchronization delivered.
 	inbox []Message
-	// ended is set once the program returned, err to the panic that ended
-	// it, if any.
-	ended bool
-	err   error
+	// synced is whether the program synchronized at its last resumption
+	// rather than ending; err is the panic that ended it, if any.
+	synced bool
+	err    error
 
 	// lease is the arena PayloadBuf carves send-side payload buffers
 	// from. step empties it after each synchronization: the engine has

@@ -206,11 +206,8 @@ func PredictAPSPEBSP(e EBSP, c AlgoCosts, n int) (sim.Time, error) {
 		return 0, err
 	}
 	m := n / sq
-	var bcast sim.Time
-	if m >= sq {
-		bcast = sim.Time(m)*e.UnbalancedStep(sq) + sim.Time(m)*e.UnbalancedStep(e.P)
-	} else {
-		bcast = sim.Time(m)*e.UnbalancedStep(sq) + sim.Time(m)*e.UnbalancedStep(e.P)
+	bcast := sim.Time(m)*e.UnbalancedStep(sq) + sim.Time(m)*e.UnbalancedStep(e.P)
+	if m < sq {
 		steps := IntLog2(sq / m)
 		for i := 0; i < steps; i++ {
 			bcast += e.UnbalancedStep((1 << uint(i)) * n)
