@@ -46,8 +46,9 @@
 #      still vets and passes its short tests against this module's APIs.
 #
 # The last stage also prints the module's non-test Go line count (tracked
-# *.go files minus _test.go, testdata/ and perfbench/). It is
-# informational, not a gate: the one count ROADMAP and CHANGES.md cite.
+# *.go files minus _test.go, testdata/ and perfbench/), the one count
+# ROADMAP and CHANGES.md cite, and then the same count for each package
+# directory. Both are informational, not gates.
 #
 # Each stage prints its wall-clock seconds so slow gates are visible in CI
 # logs without extra tooling.
@@ -143,6 +144,11 @@ go -C perfbench vet ./...
 go -C perfbench test -short ./...
 
 stage "done"
-go_lines=$(git ls-files '*.go' | grep -v -e '_test\.go$' -e 'testdata/' -e '^perfbench/' | xargs cat | wc -l | tr -d ' ')
+src_files=$(git ls-files '*.go' | grep -v -e '_test\.go$' -e 'testdata/' -e '^perfbench/')
+go_lines=$(printf '%s\n' "$src_files" | xargs cat | wc -l | tr -d ' ')
 echo "ci: module non-test Go lines: $go_lines"
+echo "ci: non-test Go lines per package:"
+printf '%s\n' "$src_files" | while read -r f; do
+    echo "$(dirname "$f") $(wc -l < "$f")"
+done | awk '{n[$1] += $2} END {for (d in n) printf "ci: %7d  %s\n", n[d], d}' | sort -k3
 echo "ci: all gates passed in $(($(date +%s) - ci_t0))s"

@@ -56,7 +56,7 @@ func (f *fakeRouter) Route(step *comm.Step, rng *sim.RNG) comm.Result {
 			finish[p] = elapsed
 		}
 	}
-	return comm.Result{Elapsed: elapsed, Finish: finish, Stats: comm.Stats{Msgs: step.NumMsgs(), Bytes: step.TotalBytes()}}
+	return comm.Result{Elapsed: elapsed, Finish: finish, Stats: comm.Stats{Msgs: step.NumMsgs()}}
 }
 
 // fakeFP hands every fake machine a unique phase-cache fingerprint, so no

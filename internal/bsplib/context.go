@@ -219,9 +219,3 @@ type Message struct {
 func (c *Context) RecvMsgs() []Message {
 	return c.inbox
 }
-
-// Now returns this processor's current simulated clock, including charges
-// not yet synchronized. Intended for diagnostics.
-func (c *Context) Now() sim.Time {
-	return c.e.clocks[c.id] + c.compute
-}

@@ -221,6 +221,32 @@ func TestExtractRecoversPlausibleParameters(t *testing.T) {
 	}
 }
 
+// skewRouter prices every step at zero elapsed time and leaves its three
+// processors finishing 0, 5 and 10 us into the step: the skews an
+// unbarriered step hands on.
+type skewRouter struct{}
+
+func (skewRouter) Name() string { return "skew" }
+func (skewRouter) Procs() int   { return 3 }
+func (skewRouter) Route(*comm.Step, *sim.RNG) comm.Result {
+	return comm.Result{Finish: []sim.Time{0, 5, 10}}
+}
+
+// A trial whose last step ends without a barrier lasts until its last
+// processor finishes, so MeasureSteps adds the largest residual skew.
+func TestMeasureStepsDrainsLargestSkew(t *testing.T) {
+	gen := func(r comm.Router, _ *sim.RNG) []*comm.Step {
+		return []*comm.Step{{Sends: make([][]comm.Msg, r.Procs())}}
+	}
+	s, err := Fixed(skewRouter{}).MeasureSteps(gen, 1, sim.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Mean != 10 {
+		t.Fatalf("trial time %g us, want 10 (the last processor's finish)", s.Mean)
+	}
+}
+
 // TestSweeperWorkerCountInvariance is the calibrate-level half of the
 // parallel-determinism contract: Measure, MeasureSteps and Curve must be
 // byte-identical (float-for-float) between the serial path and any number

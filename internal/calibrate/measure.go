@@ -1,6 +1,8 @@
 package calibrate
 
 import (
+	"slices"
+
 	"quantpar/internal/comm"
 	"quantpar/internal/faults"
 	"quantpar/internal/fit"
@@ -106,12 +108,10 @@ func routeTrialSteps(r comm.Router, steps []*comm.Step, rng *sim.RNG) float64 {
 			}
 		}
 	}
-	// Any residual skew must drain before the trial ends.
-	for _, o := range offsets {
-		if o > 0 {
-			total += o
-			break
-		}
+	// Any residual skew must drain before the trial ends: it ends when its
+	// last processor finishes.
+	if len(offsets) > 0 {
+		total += slices.Max(offsets)
 	}
 	return total
 }

@@ -27,9 +27,6 @@ type Params struct {
 	L     float64 // BSP latency/synchronization parameter
 	Sigma float64 // MP-BPRAM per-byte cost
 	Ell   float64 // MP-BPRAM message startup
-	// Fits retains the underlying regressions for reporting.
-	GLFit       fit.Line
-	SigmaEllFit fit.Line
 }
 
 func (p Params) String() string {
@@ -111,12 +108,10 @@ func (s Sweeper) Extract(spec Spec, base *sim.RNG) (Params, error) {
 		return Params{}, fmt.Errorf("calibrate: sigma/ell fit: %w", err)
 	}
 	return Params{
-		P:           probe.Procs(),
-		G:           gl.Slope,
-		L:           gl.Intercept,
-		Sigma:       se.Slope,
-		Ell:         se.Intercept,
-		GLFit:       gl,
-		SigmaEllFit: se,
+		P:     probe.Procs(),
+		G:     gl.Slope,
+		L:     gl.Intercept,
+		Sigma: se.Slope,
+		Ell:   se.Intercept,
 	}, nil
 }

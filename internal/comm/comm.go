@@ -64,20 +64,8 @@ func (s *Step) NumMsgs() int {
 	return n
 }
 
-// TotalBytes returns the total payload volume of the step.
-func (s *Step) TotalBytes() int {
-	n := 0
-	for _, list := range s.Sends {
-		for _, m := range list {
-			n += m.Bytes
-		}
-	}
-	return n
-}
-
 // Degrees returns, for each processor, the number of messages it sends
-// (out) and receives (in). Used both by routers and by the analytic models
-// to classify a step as an (M, h1, h2)-relation.
+// (out) and receives (in): the step's h-relation is the largest of them.
 func (s *Step) Degrees() (out, in []int) {
 	p := len(s.Sends)
 	out = make([]int, p)
@@ -92,51 +80,6 @@ func (s *Step) Degrees() (out, in []int) {
 		}
 	}
 	return out, in
-}
-
-// HRelation returns h = max over processors of max(sent, received): the
-// h-relation class of the step under the BSP model.
-func (s *Step) HRelation() int {
-	out, in := s.Degrees()
-	h := 0
-	for i := range out {
-		if out[i] > h {
-			h = out[i]
-		}
-		if in[i] > h {
-			h = in[i]
-		}
-	}
-	return h
-}
-
-// Relation returns the (M, h1, h2)-relation parameters of the step as used
-// by the E-BSP model: total messages M, max sent h1, max received h2.
-func (s *Step) Relation() (mTotal, h1, h2 int) {
-	out, in := s.Degrees()
-	for i := range out {
-		mTotal += out[i]
-		if out[i] > h1 {
-			h1 = out[i]
-		}
-		if in[i] > h2 {
-			h2 = in[i]
-		}
-	}
-	return mTotal, h1, h2
-}
-
-// ActiveProcs returns the number of processors that send or receive at
-// least one message; the parameter P' of the MasPar E-BSP variant.
-func (s *Step) ActiveProcs() int {
-	out, in := s.Degrees()
-	n := 0
-	for i := range out {
-		if out[i] > 0 || in[i] > 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // Result is the outcome of routing one step.

@@ -247,9 +247,6 @@ func TestSeriesMetrics(t *testing.T) {
 	if e := s.MaxAbsRelErr(); math.Abs(e-0.1) > 1e-12 {
 		t.Fatalf("max abs rel err %g", e)
 	}
-	if e := s.MeanAbsRelErr(); math.Abs(e-0.1) > 1e-12 {
-		t.Fatalf("mean abs rel err %g", e)
-	}
 	if b := s.Bias(); b != 0 {
 		t.Fatalf("bias %d, want 0 (mixed)", b)
 	}

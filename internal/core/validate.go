@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"quantpar/internal/fit"
@@ -38,15 +37,6 @@ func (s *Series) RelErrAt(i int) float64 {
 // MaxAbsRelErr returns the worst absolute relative error of the series.
 func (s *Series) MaxAbsRelErr() float64 {
 	return fit.MaxAbsRelErr(s.Predicted, s.Measured)
-}
-
-// MeanAbsRelErr returns the mean absolute relative error of the series.
-func (s *Series) MeanAbsRelErr() float64 {
-	var sum float64
-	for i := range s.Xs {
-		sum += math.Abs(s.RelErrAt(i))
-	}
-	return sum / float64(len(s.Xs))
 }
 
 // Bias reports whether the model systematically over- or under-estimates:

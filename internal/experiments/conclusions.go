@@ -24,23 +24,19 @@ func runConcl1(ctx *Context) (*Outcome, error) {
 		mm = 256
 	}
 
-	type point struct {
-		label string
-		cfg   bitonic.Config
-	}
-	pts := []point{
-		{"1 word (MP-BSP)", bitonic.Config{KeysPerProc: mm, Variant: bitonic.Word, Seed: ctx.Seed}},
-		{"4 words / 16 bytes", bitonic.Config{KeysPerProc: mm, Variant: bitonic.Word, WordsPerMsg: 4, Seed: ctx.Seed}},
-		{"16 words / 64 bytes", bitonic.Config{KeysPerProc: mm, Variant: bitonic.Word, WordsPerMsg: 16, Seed: ctx.Seed}},
-		{"whole run (MP-BPRAM)", bitonic.Config{KeysPerProc: mm, Variant: bitonic.Block, Seed: ctx.Seed}},
+	cfgs := []bitonic.Config{
+		{KeysPerProc: mm, Variant: bitonic.Word, Seed: ctx.Seed},                  // 1 word (MP-BSP)
+		{KeysPerProc: mm, Variant: bitonic.Word, WordsPerMsg: 4, Seed: ctx.Seed},  // 16 bytes
+		{KeysPerProc: mm, Variant: bitonic.Word, WordsPerMsg: 16, Seed: ctx.Seed}, // 64 bytes
+		{KeysPerProc: mm, Variant: bitonic.Block, Seed: ctx.Seed},                 // whole run (MP-BPRAM)
 	}
 	s := core.Series{Name: "bitonic time/key by message granularity (measured vs block baseline)", XLabel: "words/msg"}
-	idxs := make([]int, len(pts))
+	idxs := make([]int, len(cfgs))
 	for i := range idxs {
 		idxs[i] = i
 	}
 	times, err := sweepGrid(ctx, newMasPar, idxs, 1, func(m *machine.Machine, i, _ int) (float64, error) {
-		res, err := bitonic.Run(m, pts[i].cfg)
+		res, err := bitonic.Run(m, cfgs[i])
 		if err != nil {
 			return 0, err
 		}
@@ -49,12 +45,12 @@ func runConcl1(ctx *Context) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i, p := range pts {
-		x := float64(p.cfg.WordsPerMsg)
-		if p.cfg.WordsPerMsg == 0 {
+	for i, cfg := range cfgs {
+		x := float64(cfg.WordsPerMsg)
+		if cfg.WordsPerMsg == 0 {
 			x = 1
 		}
-		if p.cfg.Variant == bitonic.Block {
+		if cfg.Variant == bitonic.Block {
 			x = float64(mm)
 		}
 		s.Xs = append(s.Xs, x)

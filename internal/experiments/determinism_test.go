@@ -151,11 +151,11 @@ func TestParallelSerialEquivalence(t *testing.T) {
 }
 
 // TestTraceDeterminism runs the same traced superstep program twice with
-// one seed and asserts the recorded timelines serialize identically: the
-// engine's pricing, delivery, and accounting must not depend on goroutine
-// scheduling.
+// one seed and asserts the recorded timelines are identical, field for
+// field: the engine's pricing, delivery, and accounting must not depend on
+// goroutine scheduling.
 func TestTraceDeterminism(t *testing.T) {
-	runOnce := func() []byte {
+	runOnce := func() []trace.Superstep {
 		m, err := machine.Build("cm5")
 		if err != nil {
 			t.Fatal(err)
@@ -174,19 +174,15 @@ func TestTraceDeterminism(t *testing.T) {
 		if _, err := bsplib.Run(m, prog, bsplib.Options{Seed: 42, Trace: rec}); err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := rec.WriteCSV(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+		return rec.Steps()
 	}
 
 	first := runOnce()
 	second := runOnce()
-	if !bytes.Equal(first, second) {
-		t.Errorf("trace CSV differs between identically-seeded runs:\nrun1:\n%s\nrun2:\n%s", first, second)
+	if !reflect.DeepEqual(first, second) {
+		t.Errorf("trace differs between identically-seeded runs:\nrun1: %+v\nrun2: %+v", first, second)
 	}
 	if len(first) == 0 {
-		t.Error("trace CSV is empty")
+		t.Error("trace is empty")
 	}
 }

@@ -312,31 +312,36 @@ func (c countingRouter) Route(step *comm.Step, rng *sim.RNG) comm.Result {
 // counting layer.
 func (c countingRouter) Unwrap() comm.Router { return c.Router }
 
-// armFaults applies the context's fault spec (if any) to a freshly built
-// worker machine, giving the worker its own plan instance.
-func (c *Context) armFaults(m *machine.Machine) error {
-	if c.Faults == nil {
-		return nil
-	}
-	plan, err := faults.NewPlan(*c.Faults)
+// worker builds one worker-private machine with mk, arms it with its own
+// instance of the context's fault plan (if any), and routes its steps
+// through the counting layer that feeds the run's stats collector.
+func (c *Context) worker(mk machineFactory) (*machine.Machine, error) {
+	m, err := mk()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return machine.InjectFaults(m, plan)
+	if c.Faults != nil {
+		plan, err := faults.NewPlan(*c.Faults)
+		if err != nil {
+			return nil, err
+		}
+		if err := machine.InjectFaults(m, plan); err != nil {
+			return nil, err
+		}
+	}
+	m.Router = countingRouter{Router: m.Router, sink: c.stats}
+	return m, nil
 }
 
 // sweeper adapts a machine factory to a calibration sweeper honouring the
 // context's worker budget.
 func (c *Context) sweeper(mk machineFactory) calibrate.Sweeper {
 	return calibrate.Sweeper{Workers: c.Workers, New: func() (comm.Router, error) {
-		m, err := mk()
+		m, err := c.worker(mk)
 		if err != nil {
 			return nil, err
 		}
-		if err := c.armFaults(m); err != nil {
-			return nil, err
-		}
-		return countingRouter{Router: m.Router, sink: c.stats}, nil
+		return m.Router, nil
 	}}
 }
 
@@ -348,18 +353,8 @@ func (c *Context) sweeper(mk machineFactory) calibrate.Sweeper {
 // longest runs start first and the short ones fill the tail instead of one
 // long run finishing while the other workers idle.
 func sweepGrid[T any](ctx *Context, mk machineFactory, vals []int, runs int, task func(m *machine.Machine, v, run int) (T, error)) ([]T, error) {
-	counted := func() (*machine.Machine, error) {
-		m, err := mk()
-		if err != nil {
-			return nil, err
-		}
-		if err := ctx.armFaults(m); err != nil {
-			return nil, err
-		}
-		m.Router = countingRouter{Router: m.Router, sink: ctx.stats}
-		return m, nil
-	}
-	return parsweep.Run(parsweep.Workers(ctx.Workers), len(vals)*runs, counted,
+	return parsweep.Run(parsweep.Workers(ctx.Workers), len(vals)*runs,
+		func() (*machine.Machine, error) { return ctx.worker(mk) },
 		func(m *machine.Machine, i int) (T, error) { return task(m, vals[i/runs], i%runs) })
 }
 

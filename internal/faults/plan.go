@@ -72,9 +72,6 @@ func NewPlan(spec Spec) (*Plan, error) {
 // Spec returns the schedule the plan was compiled from.
 func (p *Plan) Spec() Spec { return p.spec }
 
-// MessageFaults reports whether any per-frame fault rate is nonzero.
-func (p *Plan) MessageFaults() bool { return p.msgFaults }
-
 // ResetClock rewinds the fault clock and the step counter to the start of
 // a run. Every run-level driver (the superstep engine, each calibration
 // trial) must call it so that identical runs see identical fault
@@ -83,9 +80,6 @@ func (p *Plan) ResetClock() {
 	p.clock = 0
 	p.steps = 0
 }
-
-// Clock returns the current fault-clock time in microseconds.
-func (p *Plan) Clock() sim.Time { return p.clock }
 
 // BeginStep opens the next communication step and returns its index (the
 // first component of every decision key).
@@ -177,17 +171,6 @@ func (p *Plan) StallDelay(proc int) sim.Time {
 		}
 	}
 	return d
-}
-
-// HasStalls reports whether any stall window is active at the current
-// fault clock.
-func (p *Plan) HasStalls() bool {
-	for _, st := range p.spec.Stalls {
-		if p.clock >= st.At && p.clock < st.At+st.Duration {
-			return true
-		}
-	}
-	return false
 }
 
 // Crashed reports whether processor proc has permanently failed by the

@@ -1,18 +1,12 @@
 package fit
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Summary holds descriptive statistics of a sample, used wherever the paper
 // reports "the average of 100 experiments" with min/max error bars.
 type Summary struct {
-	N        int
 	Mean     float64
 	Min, Max float64
-	StdDev   float64
-	Median   float64
 }
 
 // Summarize computes descriptive statistics of xs. It panics on an empty
@@ -21,7 +15,7 @@ func Summarize(xs []float64) Summary {
 	if len(xs) == 0 {
 		panic("fit: Summarize of empty sample")
 	}
-	s := Summary{N: len(xs), Min: xs[0], Max: xs[0]}
+	s := Summary{Min: xs[0], Max: xs[0]}
 	for _, x := range xs {
 		s.Mean += x
 		if x < s.Min {
@@ -32,22 +26,6 @@ func Summarize(xs []float64) Summary {
 		}
 	}
 	s.Mean /= float64(len(xs))
-	var varsum float64
-	for _, x := range xs {
-		d := x - s.Mean
-		varsum += d * d
-	}
-	if len(xs) > 1 {
-		s.StdDev = math.Sqrt(varsum / float64(len(xs)-1))
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	mid := len(sorted) / 2
-	if len(sorted)%2 == 1 {
-		s.Median = sorted[mid]
-	} else {
-		s.Median = (sorted[mid-1] + sorted[mid]) / 2
-	}
 	return s
 }
 

@@ -5,7 +5,6 @@ package graphs
 
 import (
 	"fmt"
-	"math"
 
 	"quantpar/internal/linalg"
 	"quantpar/internal/sim"
@@ -64,21 +63,4 @@ func Floyd(d *linalg.Mat) *linalg.Mat {
 		}
 	}
 	return out
-}
-
-// Diameter returns the largest finite shortest-path length in d, or NaN
-// when no finite off-diagonal path exists.
-func Diameter(d *linalg.Mat) float64 {
-	worst := math.NaN()
-	for i := 0; i < d.Rows; i++ {
-		for j := 0; j < d.Cols; j++ {
-			v := d.At(i, j)
-			if i != j && v < Inf {
-				if math.IsNaN(worst) || v > worst {
-					worst = v
-				}
-			}
-		}
-	}
-	return worst
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"quantpar/internal/linalg"
 	"quantpar/internal/sim"
 )
 
@@ -105,18 +106,5 @@ func TestFloydNonSquarePanics(t *testing.T) {
 			t.Fatal("non-square matrix accepted")
 		}
 	}()
-	Floyd(RandomDigraph(3, 0.5, 10, sim.NewRNG(1)).Block(0, 0, 2, 3))
-}
-
-func TestDiameter(t *testing.T) {
-	d := RandomDigraph(3, 0, 10, sim.NewRNG(1))
-	if !math.IsNaN(Diameter(d)) {
-		t.Fatal("edgeless graph has a diameter")
-	}
-	d.Set(0, 1, 4)
-	d.Set(1, 2, 5)
-	out := Floyd(d)
-	if got := Diameter(out); got != 9 {
-		t.Fatalf("diameter %g, want 9", got)
-	}
+	Floyd(linalg.NewMat(2, 3))
 }

@@ -38,22 +38,8 @@ func (m *Mat) Clone() *Mat {
 	return c
 }
 
-// Block extracts the sub-matrix of the given size with top-left corner
-// (r0, c0).
-func (m *Mat) Block(r0, c0, rows, cols int) *Mat {
-	if r0 < 0 || c0 < 0 || r0+rows > m.Rows || c0+cols > m.Cols {
-		panic(fmt.Sprintf("linalg: block (%d,%d)+%dx%d out of %dx%d", r0, c0, rows, cols, m.Rows, m.Cols))
-	}
-	b := NewMat(rows, cols)
-	for i := 0; i < rows; i++ {
-		copy(b.Data[i*cols:(i+1)*cols], m.Data[(r0+i)*m.Cols+c0:(r0+i)*m.Cols+c0+cols])
-	}
-	return b
-}
-
 // BlockInto copies the sub-matrix with top-left corner (r0, c0) and dst's
-// shape into dst without allocating (the preallocated-workspace counterpart
-// of Block).
+// shape into dst without allocating.
 func (m *Mat) BlockInto(dst *Mat, r0, c0 int) {
 	if r0 < 0 || c0 < 0 || r0+dst.Rows > m.Rows || c0+dst.Cols > m.Cols {
 		panic(fmt.Sprintf("linalg: block (%d,%d)+%dx%d out of %dx%d", r0, c0, dst.Rows, dst.Cols, m.Rows, m.Cols))
@@ -161,6 +147,3 @@ func MaxAbsDiff(a, b *Mat) float64 {
 	}
 	return worst
 }
-
-// Equalish reports whether a and b agree within tol element-wise.
-func Equalish(a, b *Mat, tol float64) bool { return MaxAbsDiff(a, b) <= tol }

@@ -57,7 +57,7 @@ func TestShapePanics(t *testing.T) {
 		func() { MaxAbsDiff(a, b) },
 		func() { MatMulAdd(NewMat(2, 2), a, NewMat(3, 3)) },
 		func() { NewMat(-1, 2) },
-		func() { a.Block(1, 1, 5, 5) },
+		func() { a.BlockInto(NewMat(5, 5), 1, 1) },
 		func() { a.SetBlock(1, 1, NewMat(5, 5)) },
 	}
 	for i, c := range cases {
@@ -72,14 +72,15 @@ func TestShapePanics(t *testing.T) {
 	}
 }
 
-// Property: Block and SetBlock round-trip.
+// Property: BlockInto and SetBlock round-trip.
 func TestBlockRoundTrip(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := sim.NewRNG(seed)
 		m := NewMat(10, 8).Random(rng)
 		r0, c0 := rng.Intn(6), rng.Intn(5)
 		rows, cols := rng.Intn(10-r0)+1, rng.Intn(8-c0)+1
-		blk := m.Block(r0, c0, rows, cols)
+		blk := NewMat(rows, cols)
+		m.BlockInto(blk, r0, c0)
 		cp := m.Clone()
 		cp.SetBlock(r0, c0, blk)
 		return MaxAbsDiff(m, cp) == 0
@@ -99,15 +100,12 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestEqualish(t *testing.T) {
+func TestMaxAbsDiff(t *testing.T) {
 	rng := sim.NewRNG(2)
 	a := NewMat(3, 3).Random(rng)
 	b := a.Clone()
 	b.Set(1, 1, b.At(1, 1)+1e-6)
-	if !Equalish(a, b, 1e-5) {
-		t.Fatal("close matrices flagged unequal")
-	}
-	if Equalish(a, b, 1e-8) {
-		t.Fatal("tolerance ignored")
+	if d := MaxAbsDiff(a, b); d < 1e-8 || d > 1e-5 {
+		t.Fatalf("a 1e-6 perturbation measured as %g", d)
 	}
 }

@@ -1,7 +1,7 @@
 // Package lsort provides the local sorting substrate used inside the
-// parallel sorting algorithms: the 8-bit LSD radix sort of Section 4.2.1,
-// linear two-way merges of sorted runs, and the bitonic min/max split.
-// Keys are uint32, the 4-byte computational word of the paper's sorting
+// parallel sorting algorithms: the 8-bit LSD radix sort of Section 4.2.1
+// and the merge-split of two sorted runs (the bitonic min/max split). Keys
+// are uint32, the 4-byte computational word of the paper's sorting
 // experiments.
 package lsort
 
@@ -97,39 +97,4 @@ func MergeHigh(out, a, b []uint32) {
 			j--
 		}
 	}
-}
-
-// Merge merges two sorted runs into one sorted slice.
-func Merge(a, b []uint32) []uint32 {
-	out := make([]uint32, len(a)+len(b))
-	i, j := 0, 0
-	for k := range out {
-		switch {
-		case i < len(a) && (j >= len(b) || a[i] <= b[j]):
-			out[k] = a[i]
-			i++
-		default:
-			out[k] = b[j]
-			j++
-		}
-	}
-	return out
-}
-
-// BucketOf returns the bucket index of key among the sorted splitters:
-// the number of splitters not exceeding key (so keys below splitters[0] map
-// to bucket 0 and keys at or above the last splitter map to bucket
-// len(splitters)). With sorted input keys the scan over buckets is the
-// Theta(M + P) pass of Section 4.3.
-func BucketOf(key uint32, splitters []uint32) int {
-	lo, hi := 0, len(splitters)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if splitters[mid] <= key {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }

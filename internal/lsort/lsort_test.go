@@ -4,8 +4,6 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
-
-	"quantpar/internal/sim"
 )
 
 // Property: RadixSort agrees with the standard library on arbitrary data.
@@ -97,35 +95,4 @@ func TestMergeSplitPanics(t *testing.T) {
 		}
 	}()
 	MergeLow(make([]uint32, 5), []uint32{1}, []uint32{2})
-}
-
-func TestMerge(t *testing.T) {
-	got := Merge([]uint32{1, 4, 6}, []uint32{2, 3, 7})
-	want := []uint32{1, 2, 3, 4, 6, 7}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("merge %v", got)
-		}
-	}
-}
-
-// Property: BucketOf agrees with a linear scan.
-func TestBucketOfAgainstLinearScan(t *testing.T) {
-	f := func(seed uint64, key uint32, nRaw uint8) bool {
-		n := int(nRaw)%20 + 1
-		rng := sim.NewRNG(seed)
-		spl := make([]uint32, n)
-		for i := range spl {
-			spl[i] = rng.Uint32()
-		}
-		RadixSort(spl)
-		want := 0
-		for want < len(spl) && spl[want] <= key {
-			want++
-		}
-		return BucketOf(key, spl) == want
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
 }

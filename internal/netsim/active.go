@@ -88,9 +88,6 @@ func NewActive(cfg ActiveConfig) (*Active, error) {
 	}, nil
 }
 
-// Config returns the engine's constants.
-func (n *Active) Config() ActiveConfig { return n.cfg }
-
 // Procs implements Engine.
 func (n *Active) Procs() int { return n.cfg.Procs }
 

@@ -136,9 +136,6 @@ func NewPhased(cfg PhasedConfig, numLinks int, transit Transit) (*Phased, error)
 	}, nil
 }
 
-// Config returns the engine's constants.
-func (n *Phased) Config() PhasedConfig { return n.cfg }
-
 // Procs implements Engine.
 func (n *Phased) Procs() int { return n.cfg.Procs }
 

@@ -115,9 +115,6 @@ func NewWave(cfg WaveConfig) (*Wave, error) {
 	}, nil
 }
 
-// Config returns the engine's constants.
-func (r *Wave) Config() WaveConfig { return r.cfg }
-
 // Procs implements Engine.
 func (r *Wave) Procs() int { return r.cfg.PEs }
 

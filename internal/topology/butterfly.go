@@ -51,27 +51,3 @@ func (b *Butterfly) Path(dst []int, src, dstPort int) []int {
 	}
 	return dst
 }
-
-// ConflictFree reports whether routing the permutation perm (perm[i] is the
-// output port for input i; -1 marks idle inputs) is link-conflict-free.
-// Bit-complement and single-bit-exchange permutations - the patterns bitonic
-// sort generates - are conflict-free on a butterfly, which is the mechanism
-// behind the paper's observation that bitonic's pattern is about twice as
-// cheap as a random permutation on the MasPar router.
-func (b *Butterfly) ConflictFree(perm []int) bool {
-	used := make(map[int]bool, len(perm)*b.Stages)
-	var buf []int
-	for src, d := range perm {
-		if d < 0 {
-			continue
-		}
-		buf = b.Path(buf[:0], src, d)
-		for _, link := range buf {
-			if used[link] {
-				return false
-			}
-			used[link] = true
-		}
-	}
-	return true
-}

@@ -51,79 +51,6 @@ func TestButterflyPathStructure(t *testing.T) {
 	}
 }
 
-func TestButterflyXORPermutationsConflictFree(t *testing.T) {
-	b, err := NewButterfly(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every single-bit-exchange permutation routes conflict-free: the
-	// mechanism behind bitonic sort's discount on the MasPar.
-	for bit := 0; bit < 6; bit++ {
-		perm := make([]int, 64)
-		for i := range perm {
-			perm[i] = i ^ (1 << bit)
-		}
-		if !b.ConflictFree(perm) {
-			t.Fatalf("bit-%d exchange conflicts", bit)
-		}
-	}
-	// The identity is trivially conflict-free.
-	id := make([]int, 64)
-	for i := range id {
-		id[i] = i
-	}
-	if !b.ConflictFree(id) {
-		t.Fatal("identity conflicts")
-	}
-}
-
-func TestButterflyShiftsAreConflictFree(t *testing.T) {
-	b, err := NewButterfly(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Uniform cyclic shifts route conflict-free through a butterfly (the
-	// classic Omega-network result) - worth pinning down because it is
-	// easy to assume the opposite.
-	for s := 1; s < 64; s++ {
-		perm := make([]int, 64)
-		for i := range perm {
-			perm[i] = (i + s) % 64
-		}
-		if !b.ConflictFree(perm) {
-			t.Fatalf("shift by %d conflicts", s)
-		}
-	}
-}
-
-func TestButterflyTransposeConflicts(t *testing.T) {
-	b, err := NewButterfly(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The bit-swap "matrix transpose" permutation (swap the high and low
-	// three bits) is butterfly-hostile; if it routed conflict-free the
-	// conflict model would be vacuous.
-	perm := make([]int, 64)
-	for i := range perm {
-		perm[i] = (i&7)<<3 | i>>3
-	}
-	if b.ConflictFree(perm) {
-		t.Fatal("transpose routed conflict-free")
-	}
-	// Random permutations overwhelmingly conflict too.
-	rng := sim.NewRNG(11)
-	conflicted := 0
-	for trial := 0; trial < 10; trial++ {
-		if !b.ConflictFree(rng.Perm(64)) {
-			conflicted++
-		}
-	}
-	if conflicted < 8 {
-		t.Fatalf("only %d of 10 random permutations conflicted", conflicted)
-	}
-}
-
 func TestMeshPathsFollowXYRouting(t *testing.T) {
 	m, err := NewMesh(8, 8)
 	if err != nil {

@@ -7,11 +7,8 @@
 package trace
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 	"sync"
 
 	"quantpar/internal/sim"
@@ -105,33 +102,6 @@ func (r *Recorder) Totals() Totals {
 	return t
 }
 
-// WriteCSV writes the timeline as CSV with a header row.
-func (r *Recorder) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"step", "barrier", "compute_us", "comm_us", "wall_us", "msgs", "bytes", "h", "active", "comm_steps"}); err != nil {
-		return err
-	}
-	for _, s := range r.Steps() {
-		rec := []string{
-			strconv.Itoa(s.Index),
-			strconv.FormatBool(s.Barrier),
-			strconv.FormatFloat(s.Compute, 'f', 3, 64),
-			strconv.FormatFloat(s.Comm(), 'f', 3, 64),
-			strconv.FormatFloat(s.Wall, 'f', 3, 64),
-			strconv.Itoa(s.Msgs),
-			strconv.Itoa(s.Bytes),
-			strconv.Itoa(s.H),
-			strconv.Itoa(s.Active),
-			strconv.Itoa(s.CommSteps),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
 // Render formats the timeline as an aligned table, collapsing runs of
 // supersteps with identical traffic shape (msgs, h, active) into one line
 // with a repetition count - the natural view of iterative algorithms.
@@ -165,13 +135,4 @@ func (r *Recorder) Render(w io.Writer) {
 
 func sameShape(a, b Superstep) bool {
 	return a.Barrier == b.Barrier && a.Msgs == b.Msgs && a.H == b.H && a.Active == b.Active
-}
-
-// Summary returns a one-line description.
-func (r *Recorder) Summary() string {
-	t := r.Totals()
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d supersteps, compute %.1f us, comm %.1f us, %d msgs",
-		t.Supersteps, t.Compute, t.Comm, t.Msgs)
-	return b.String()
 }

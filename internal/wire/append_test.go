@@ -7,13 +7,13 @@ import (
 	"testing/quick"
 )
 
-// TestAppendMatchesLegacy proves the append-style encoders produce byte-
-// identical output to the legacy allocate-per-call API, including when the
+// TestAppendMatchesLegacy proves AppendUint32s produces byte-identical
+// output to the legacy allocate-per-call PutUint32s, including when the
 // destination already carries unrelated bytes (the reused-scratch case).
 func TestAppendMatchesLegacy(t *testing.T) {
 	prefix := []byte{0xde, 0xad}
 
-	u32 := func(xs []uint32) bool {
+	f := func(xs []uint32) bool {
 		legacy := PutUint32s(xs)
 		if !bytes.Equal(AppendUint32s(nil, xs), legacy) {
 			return false
@@ -21,16 +21,8 @@ func TestAppendMatchesLegacy(t *testing.T) {
 		withPrefix := AppendUint32s(append([]byte(nil), prefix...), xs)
 		return bytes.Equal(withPrefix[len(prefix):], legacy)
 	}
-	f32 := func(xs []float32) bool {
-		return bytes.Equal(AppendFloat32s(nil, xs), PutFloat32s(xs))
-	}
-	f64 := func(xs []float64) bool {
-		return bytes.Equal(AppendFloat64s(nil, xs), PutFloat64s(xs))
-	}
-	for name, f := range map[string]any{"uint32": u32, "float32": f32, "float64": f64} {
-		if err := quick.Check(f, nil); err != nil {
-			t.Errorf("%s: %v", name, err)
-		}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -98,19 +90,19 @@ func TestIntoShrinksAndGrows(t *testing.T) {
 	if len(grown) != 128 {
 		t.Fatalf("growing decode got %d words, want 128", len(grown))
 	}
-	if f := Float64sInto(nil, PutFloat64s([]float64{math.Pi})); len(f) != 1 || f[0] != math.Pi {
+	if f := Float64sInto(nil, AppendFloat64s(nil, []float64{math.Pi})); len(f) != 1 || f[0] != math.Pi {
 		t.Fatalf("float64 decode got %v", f)
 	}
 }
 
 // FuzzWireRoundTrip fuzzes the byte-level decoders against re-encoding:
 // any word-aligned payload must decode and re-encode to identical bytes
-// through every codec pair, in both the legacy and append styles.
+// through every Append/Into codec pair.
 func FuzzWireRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
-	f.Add(PutFloat64s([]float64{math.Inf(1), math.NaN(), -0.0}))
+	f.Add(AppendFloat64s(nil, []float64{math.Inf(1), math.NaN(), -0.0}))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		b := raw[:len(raw)-len(raw)%8] // align to the largest word
 		var encScratch []byte

@@ -10,9 +10,9 @@
 //     one reused scratch slice (the zero-copy pipeline's send side). They
 //     follow the standard library's append convention: the destination may
 //     be nil, and the (possibly grown) result is returned.
-//   - The legacy Put*/decode functions allocate a fresh slice per call.
-//     They are retained as thin wrappers over the append forms for call
-//     sites where a private slice is actually wanted.
+//   - The legacy PutUint32s and Uint32s allocate a fresh slice per call.
+//     They are thin wrappers over the append forms for call sites where a
+//     private slice is actually wanted.
 //
 // Encoding is identical across both styles; the tests assert byte equality.
 package wire
@@ -73,16 +73,6 @@ func Float64sInto(dst []float64, b []byte) []float64 {
 	return dst
 }
 
-// PutFloat64s encodes xs as consecutive little-endian IEEE-754 doubles.
-func PutFloat64s(xs []float64) []byte {
-	return AppendFloat64s(make([]byte, 0, 8*len(xs)), xs)
-}
-
-// Float64s decodes a payload written by PutFloat64s.
-func Float64s(b []byte) []float64 {
-	return Float64sInto(nil, b)
-}
-
 // AppendFloat32s appends xs to dst as little-endian IEEE-754 singles, the
 // MasPar's natural word.
 func AppendFloat32s(dst []byte, xs []float32) []byte {
@@ -100,16 +90,6 @@ func Float32sInto(dst []float32, b []byte) []float32 {
 		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
 	}
 	return dst
-}
-
-// PutFloat32s encodes xs as consecutive little-endian IEEE-754 singles.
-func PutFloat32s(xs []float32) []byte {
-	return AppendFloat32s(make([]byte, 0, 4*len(xs)), xs)
-}
-
-// Float32s decodes a payload written by PutFloat32s.
-func Float32s(b []byte) []float32 {
-	return Float32sInto(nil, b)
 }
 
 // wordCount validates framing and returns the number of whole words in b.

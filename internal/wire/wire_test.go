@@ -27,7 +27,7 @@ func TestUint32sRoundTrip(t *testing.T) {
 
 func TestFloat64sRoundTrip(t *testing.T) {
 	f := func(xs []float64) bool {
-		got := Float64s(PutFloat64s(xs))
+		got := Float64sInto(nil, AppendFloat64s(nil, xs))
 		if len(got) != len(xs) {
 			return false
 		}
@@ -46,7 +46,7 @@ func TestFloat64sRoundTrip(t *testing.T) {
 
 func TestFloat32sRoundTrip(t *testing.T) {
 	f := func(xs []float32) bool {
-		got := Float32s(PutFloat32s(xs))
+		got := Float32sInto(nil, AppendFloat32s(nil, xs))
 		if len(got) != len(xs) {
 			return false
 		}
@@ -66,7 +66,7 @@ func TestByteLengths(t *testing.T) {
 	if got := len(PutUint32s(make([]uint32, 5))); got != 20 {
 		t.Fatalf("uint32 payload %d bytes, want 20", got)
 	}
-	if got := len(PutFloat64s(make([]float64, 3))); got != 24 {
+	if got := len(AppendFloat64s(nil, make([]float64, 3))); got != 24 {
 		t.Fatalf("float64 payload %d bytes, want 24", got)
 	}
 }
@@ -74,8 +74,8 @@ func TestByteLengths(t *testing.T) {
 func TestRaggedPayloadsPanic(t *testing.T) {
 	cases := []func(){
 		func() { Uint32s(make([]byte, 5)) },
-		func() { Float32s(make([]byte, 7)) },
-		func() { Float64s(make([]byte, 9)) },
+		func() { Float32sInto(nil, make([]byte, 7)) },
+		func() { Float64sInto(nil, make([]byte, 9)) },
 	}
 	for i, c := range cases {
 		func() {

@@ -24,7 +24,6 @@ import (
 	"quantpar/internal/algorithms/samplesort"
 	"quantpar/internal/bsplib"
 	"quantpar/internal/calibrate"
-	"quantpar/internal/collectives"
 	"quantpar/internal/core"
 	"quantpar/internal/experiments"
 	"quantpar/internal/machine"
@@ -69,7 +68,7 @@ func Run(m *Machine, prog Program, opt RunOptions) (*RunResult, error) {
 }
 
 // Trace records per-superstep execution timelines; attach one via
-// RunOptions.Trace and render or export it after the run.
+// RunOptions.Trace and render it or read its steps after the run.
 type Trace = trace.Recorder
 
 // NewTrace returns an empty superstep trace recorder.
@@ -212,28 +211,6 @@ func DiffArtifacts(base, cur *Artifact) ArtifactDiff { return runstore.Diff(base
 func ExperimentArtifactConfig(e Experiment, ctx *ExperimentContext) (ArtifactConfig, error) {
 	return runstore.ExperimentConfig(e, ctx)
 }
-
-// BSP collective primitives (the paper's reference [16]) for use inside
-// Programs: Broadcast, Scatter, Gather, AllGather, Reduce, AllReduce,
-// ExclusiveScan and TotalExchange, with their BSP cost predictions in the
-// collectives package.
-var (
-	Broadcast     = collectives.Broadcast
-	Scatter       = collectives.Scatter
-	Gather        = collectives.Gather
-	AllGather     = collectives.AllGather
-	Reduce        = collectives.Reduce
-	AllReduce     = collectives.AllReduce
-	ExclusiveScan = collectives.ExclusiveScan
-	TotalExchange = collectives.TotalExchange
-)
-
-// Reduction operators for the collective primitives.
-var (
-	OpSum = collectives.Sum
-	OpMax = collectives.Max
-	OpMin = collectives.Min
-)
 
 // Calibration (Section 3): microbenchmarks extracting Table 1 parameters.
 type CalibrationSpec = calibrate.Spec

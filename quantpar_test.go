@@ -115,22 +115,3 @@ func TestFacadeReferenceAndCalibrate(t *testing.T) {
 		t.Fatalf("calibrated g %.1f vs reference %.1f", p.G, ref.G)
 	}
 }
-
-func TestFacadeCollectives(t *testing.T) {
-	m, err := quantpar.NewMachine("cm5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sums := make([]uint32, m.P())
-	_, err = quantpar.Run(m, func(ctx *quantpar.Context) {
-		sums[ctx.ID()] = quantpar.AllReduce(ctx, 1, quantpar.OpSum)
-	}, quantpar.RunOptions{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id, v := range sums {
-		if v != uint32(m.P()) {
-			t.Fatalf("all-reduce at %d = %d, want %d", id, v, m.P())
-		}
-	}
-}
