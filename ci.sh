@@ -16,13 +16,8 @@
 #      GOMAXPROCS 4 (-cpu 4), so that several lanes run under the
 #      detector on any host, whatever its CPU count. The race build
 #      poisons every released bsplib buffer, so a program that reads a
-#      lease or delivery view past its Sync fails its own verification.
-#      internal/analysis starts no goroutine, so its tests run shuffled
-#      without the detector;
-#   4. qpvet (internal/analysis) reports no determinism, sim.Time,
-#      RNG-stream, or fault-RNG violations anywhere in the module, and no
-#      //qpvet:ignore directive has gone stale;
-#   5. the fault-injection contract holds: every registered backend
+#      lease or delivery view past its Sync fails its own verification;
+#   4. the fault-injection contract holds: every registered backend
 #      converges under the fixed conformance fault schedule with
 #      byte-identical twin runs and structured errors for partitions,
 #      exhausted retry budgets, and livelocks (internal/netsim), and the
@@ -31,18 +26,18 @@
 #      engines' event queue survives 10 s of fuzzing against its order
 #      model (FuzzEventQueue; a failure writes its reproducer under
 #      internal/sim/testdata/fuzz);
-#   6. every examples/*/ program runs to a zero exit status: go build only
+#   5. every examples/*/ program runs to a zero exit status: go build only
 #      compiles them, so this catches runtime failures in the library
 #      facade and in backends.GCel at non-default geometry;
-#   7. a fresh quick-scale run of all experiments diffs clean against the
+#   6. a fresh quick-scale run of all experiments diffs clean against the
 #      committed golden artifacts (internal/runstore/testdata/golden):
 #      any check-verdict flip or out-of-tolerance series drift fails CI;
-#   8. qpbench replays the quick benchmark subset and diffs it against the
+#   7. qpbench replays the quick benchmark subset and diffs it against the
 #      committed baseline, BENCH_memo.json: an allocs/op increase beyond
 #      10% fails CI, as does any sim-events/op increase (the event counts
 #      are deterministic, so the tolerance is zero); ns/op and B/op drift
 #      is advisory only;
-#   9. the nested perfbench module (the benchmark BENCHMARK.json declares)
+#   8. the nested perfbench module (the benchmark BENCHMARK.json declares)
 #      still vets and passes its short tests against this module's APIs.
 #
 # The last stage also prints the module's non-test Go line count (tracked
@@ -63,9 +58,6 @@
 # If an optimization *intentionally* moves allocation or simulated-event
 # counts, regenerate the benchmark snapshot in the same commit:
 #   go run ./cmd/qpbench -o BENCH_memo.json
-#
-# If a qpvet finding is intentional, suppress it in place with
-# `//qpvet:ignore <check> -- reason`.
 set -eu
 
 ci_t0=$(date +%s)
@@ -100,13 +92,9 @@ stage "go test -race -shuffle=on ./..."
 # (parallel/serial and cache-on/off equivalence) and runs close to the
 # default 10-minute per-package budget under the race detector when the
 # whole suite shares the machine, so the budget is raised explicitly.
-go test -race -shuffle=on -timeout 1800s $(go list ./... | grep -v '/internal/analysis$')
-go test -shuffle=on ./internal/analysis/
+go test -race -shuffle=on -timeout 1800s ./...
 go test -race -count=10 ./internal/bsplib/
 go test -race -cpu 4 ./internal/bsplib/ ./internal/algorithms/...
-
-stage "qpvet ./..."
-go run ./cmd/qpvet ./...
 
 stage "fault-injection conformance and engine gate"
 go test -run 'TestFaultProtocolConformance|TestFaultPartitionIsStructured' ./internal/netsim/

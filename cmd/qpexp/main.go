@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"path/filepath"
 	"runtime/pprof"
 	"strings"
 	"time"
@@ -174,6 +175,15 @@ func runAll(opt *options) int {
 	// cache store doubles as the output store then.
 	var outStore, cacheStore, baseStore *runstore.Dir
 	var err error
+	if opt.diffDir != "" {
+		// Open creates a missing directory and reads one without a
+		// manifest as an empty store, against which every experiment is
+		// new and the diff passes: a baseline must already exist.
+		if _, err := os.Stat(filepath.Join(opt.diffDir, runstore.ManifestName)); err != nil {
+			fmt.Fprintf(os.Stderr, "qpexp: -diff %s holds no baseline: %v\n", opt.diffDir, err)
+			return 2
+		}
+	}
 	if opt.cacheDir != "" {
 		if cacheStore, err = runstore.Open(opt.cacheDir); err != nil {
 			fmt.Fprintln(os.Stderr, "qpexp:", err)

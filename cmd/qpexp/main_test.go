@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"quantpar/internal/runstore"
 )
 
 // TestWriteProfileReportsFailure writes a profile once where it can be
@@ -57,5 +59,22 @@ func TestTrialsRejectsNegative(t *testing.T) {
 	}
 	if code := runAll(&opt); code != 2 {
 		t.Errorf("-trials -1: exit code %d, want 2", code)
+	}
+}
+
+// TestDiffRejectsStoreWithoutManifest diffs table1 against a missing
+// directory and an empty one. Neither holds a baseline, so both are usage
+// errors (exit 2), and the missing one must not be created: read as an
+// empty store, either would pass every experiment as new.
+func TestDiffRejectsStoreWithoutManifest(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing")
+	for _, dir := range []string{missing, t.TempDir()} {
+		opt := options{run: "table1", scale: "quick", seed: 1996, diffDir: dir, tol: runstore.DefaultTolerance}
+		if code := runAll(&opt); code != 2 {
+			t.Errorf("-diff %s: exit code %d, want 2", dir, code)
+		}
+	}
+	if _, err := os.Stat(missing); !os.IsNotExist(err) {
+		t.Errorf("-diff created %s (stat: %v)", missing, err)
 	}
 }

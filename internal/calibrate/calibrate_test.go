@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"quantpar/internal/comm"
+	"quantpar/internal/fit"
 	"quantpar/internal/router/maspar"
 	"quantpar/internal/sim"
 )
@@ -286,6 +287,18 @@ func TestSweeperWorkerCountInvariance(t *testing.T) {
 	}
 	if got != serialM {
 		t.Fatalf("Fixed Measure %+v != serial sweeper %+v", got, serialM)
+	}
+	// Trial t draws from base.Split(t) alone, so pricing each trial by
+	// hand on that stream must give the serial summary. A stream shared
+	// by the trials fails here in every build; the worker comparisons
+	// below see it only when concurrent draws happen to interleave.
+	byHand := make([]float64, 6)
+	for tr := range byHand {
+		rng := sim.NewRNG(3).Split(uint64(tr))
+		byHand[tr] = probe.Route(mGen(probe, rng), rng).Elapsed
+	}
+	if want := fit.Summarize(byHand); serialM != want {
+		t.Fatalf("serial Measure %+v != per-trial streams %+v", serialM, want)
 	}
 
 	for _, workers := range []int{2, 4, 8} {

@@ -88,7 +88,7 @@ func routeTrialSteps(r comm.Router, steps []*comm.Step, rng *sim.RNG) float64 {
 		// The trial's stream deliberately chains across its steps:
 		// rng is already the Split-derived per-trial stream, and a
 		// trial is one sequential execution like on the real machine.
-		res := r.Route(s, rng) //qpvet:ignore rngstream -- per-trial stream chains across the trial's steps
+		res := r.Route(s, rng)
 		if s.Barrier {
 			total += res.Elapsed
 			offsets = nil

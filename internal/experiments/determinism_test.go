@@ -10,6 +10,7 @@ import (
 	"quantpar/internal/bsplib"
 	"quantpar/internal/experiments"
 	"quantpar/internal/machine"
+	"quantpar/internal/phase"
 	"quantpar/internal/report"
 	"quantpar/internal/runstore"
 	"quantpar/internal/trace"
@@ -18,53 +19,78 @@ import (
 // TestExperimentDeterminism is the regression the whole substitution
 // strategy rests on (DESIGN.md §2): with a fixed seed, a full experiment —
 // calibration patterns, router simulation, least-squares fits — must
-// produce byte-identical exported CSV output on every run. Any divergence
-// means wall-clock state, map ordering, or unsplit RNG streams leaked into
-// the simulation, which is exactly what qpvet exists to prevent.
+// produce byte-identical artifacts and exported CSV output on every run.
+// Each twin starts from an empty phase memo, so both simulate every step
+// rather than the second replaying the first's stored results. fig01
+// prices the MasPar routers, which draw no jitter; table1 calibrates all
+// three machines, including the jittered GCel and CM-5. The artifact
+// bytes keep every float exact, where the CSVs round. Any divergence
+// means wall-clock state, map ordering, a global RNG or an unsplit stream
+// leaked into the simulation.
 func TestExperimentDeterminism(t *testing.T) {
-	exportDir := func(sub string) (string, []string) {
-		e, err := experiments.ByID("fig01")
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx := &experiments.Context{Scale: experiments.Quick, Trials: 3, Seed: 1996}
-		o, err := e.Run(ctx)
-		if err != nil {
-			t.Fatalf("fig01 run: %v", err)
-		}
-		dir := filepath.Join(t.TempDir(), sub)
-		paths, err := report.ExportOutcome(dir, o)
-		if err != nil {
-			t.Fatalf("export: %v", err)
-		}
-		if len(paths) == 0 {
-			t.Fatal("fig01 exported no files")
-		}
-		return dir, paths
-	}
+	for _, id := range []string{"fig01", "table1"} {
+		t.Run(id, func(t *testing.T) {
+			e, err := experiments.ByID(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := &experiments.Context{Scale: experiments.Quick, Trials: 3, Seed: 1996}
+			cfg, err := runstore.ExperimentConfig(e, ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			twin := func(sub string) ([]byte, string, []string) {
+				phase.ResetStore()
+				o, err := e.Run(ctx)
+				if err != nil {
+					t.Fatalf("%s run: %v", id, err)
+				}
+				a, err := runstore.New(cfg, o)
+				if err != nil {
+					t.Fatalf("%s: building artifact: %v", id, err)
+				}
+				enc, err := runstore.Encode(a)
+				if err != nil {
+					t.Fatalf("%s: encoding artifact: %v", id, err)
+				}
+				dir := filepath.Join(t.TempDir(), sub)
+				paths, err := report.ExportOutcome(dir, o)
+				if err != nil {
+					t.Fatalf("export: %v", err)
+				}
+				if len(paths) == 0 {
+					t.Fatalf("%s exported no files", id)
+				}
+				return enc, dir, paths
+			}
 
-	dir1, paths1 := exportDir("a")
-	dir2, paths2 := exportDir("b")
-	if len(paths1) != len(paths2) {
-		t.Fatalf("run 1 exported %d files, run 2 exported %d", len(paths1), len(paths2))
-	}
-	for i := range paths1 {
-		rel1, _ := filepath.Rel(dir1, paths1[i])
-		rel2, _ := filepath.Rel(dir2, paths2[i])
-		if rel1 != rel2 {
-			t.Fatalf("file name diverged: %s vs %s", rel1, rel2)
-		}
-		b1, err := os.ReadFile(paths1[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		b2, err := os.ReadFile(paths2[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(b1, b2) {
-			t.Errorf("%s differs between two identically-seeded runs:\nrun1:\n%s\nrun2:\n%s", rel1, b1, b2)
-		}
+			enc1, dir1, paths1 := twin("a")
+			enc2, dir2, paths2 := twin("b")
+			if !bytes.Equal(enc1, enc2) {
+				t.Errorf("artifact bytes differ between two identically-seeded runs:\nrun1:\n%s\nrun2:\n%s", enc1, enc2)
+			}
+			if len(paths1) != len(paths2) {
+				t.Fatalf("run 1 exported %d files, run 2 exported %d", len(paths1), len(paths2))
+			}
+			for i := range paths1 {
+				rel1, _ := filepath.Rel(dir1, paths1[i])
+				rel2, _ := filepath.Rel(dir2, paths2[i])
+				if rel1 != rel2 {
+					t.Fatalf("file name diverged: %s vs %s", rel1, rel2)
+				}
+				b1, err := os.ReadFile(paths1[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				b2, err := os.ReadFile(paths2[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(b1, b2) {
+					t.Errorf("%s differs between two identically-seeded runs:\nrun1:\n%s\nrun2:\n%s", rel1, b1, b2)
+				}
+			}
+		})
 	}
 }
 
@@ -73,7 +99,12 @@ func TestExperimentDeterminism(t *testing.T) {
 // series, checks, extras — and byte-identical exported CSVs whether its
 // sweeps run serially (Workers=1) or fanned out (Workers=8). Workers may
 // only trade wall-clock time; any divergence means a task touched shared
-// router state or derived its RNG stream from scheduling order.
+// router state or derived its RNG stream from scheduling order. The -j 8
+// run replays the steps the -j 1 run left in the phase memo, so it
+// compares the sweeps' order and streams, not the routers' pricing: a
+// nondeterministic router shows here only in steps that bypass the memo
+// (fault-injected ones), and otherwise only in TestPhaseCacheEquivalence's
+// memo-off runs.
 func TestParallelSerialEquivalence(t *testing.T) {
 	exportAll := func(o *experiments.Outcome) map[string][]byte {
 		dir := t.TempDir()
@@ -153,9 +184,11 @@ func TestParallelSerialEquivalence(t *testing.T) {
 // TestTraceDeterminism runs the same traced superstep program twice with
 // one seed and asserts the recorded timelines are identical, field for
 // field: the engine's pricing, delivery, and accounting must not depend on
-// goroutine scheduling.
+// goroutine scheduling. Each run starts from an empty phase memo, so both
+// price every step on the CM-5's jittered router.
 func TestTraceDeterminism(t *testing.T) {
 	runOnce := func() []trace.Superstep {
+		phase.ResetStore()
 		m, err := machine.Build("cm5")
 		if err != nil {
 			t.Fatal(err)

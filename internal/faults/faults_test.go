@@ -94,8 +94,11 @@ func FuzzFaultSpec(f *testing.F) {
 	})
 }
 
-// TestFrameFateDeterministic: fate decisions are pure functions of (seed,
-// step, seq, attempt), independent of plan instance and of query order.
+// TestFrameFateDeterministic: frame fates and ack losses are pure
+// functions of (seed, step, seq, attempt), independent of plan instance,
+// of query order, and of how the two kinds of query interleave. A verdict
+// drawn from a stream the plan advances, or keyed by anything the plan
+// counts, breaks the twin's reverse-order answers.
 func TestFrameFateDeterministic(t *testing.T) {
 	spec := Spec{Seed: 42, DropRate: 0.2, CorruptRate: 0.1, DelayRate: 0.05, DuplicateRate: 0.05}
 	a, b := mustPlan(t, spec), mustPlan(t, spec)
@@ -113,12 +116,17 @@ func TestFrameFateDeterministic(t *testing.T) {
 		}
 	}
 	forward := map[key]Fate{}
+	ackLost := map[key]bool{}
 	for _, k := range keys {
 		forward[k] = a.FrameFate(k.step, k.seq, k.attempt)
+		ackLost[k] = a.AckLost(k.step, k.seq, k.attempt)
 	}
-	// Query the twin plan in reverse order: same fates.
+	// Query the twin plan in reverse order, ack first: same verdicts.
 	for i := len(keys) - 1; i >= 0; i-- {
 		k := keys[i]
+		if got := b.AckLost(k.step, k.seq, k.attempt); got != ackLost[k] {
+			t.Fatalf("ack loss of %+v differs across plans/order: %v vs %v", k, got, ackLost[k])
+		}
 		if got := b.FrameFate(k.step, k.seq, k.attempt); got != forward[k] {
 			t.Fatalf("fate of %+v differs across plans/order: %v vs %v", k, got, forward[k])
 		}
@@ -134,6 +142,15 @@ func TestFrameFateDeterministic(t *testing.T) {
 	}
 	if counts[Deliver] == 0 || counts[Corrupt] == 0 {
 		t.Fatalf("fate distribution degenerate: %v", counts)
+	}
+	lost := 0
+	for _, l := range ackLost {
+		if l {
+			lost++
+		}
+	}
+	if frac := float64(lost) / float64(n); frac < 0.2 || frac > 0.5 {
+		t.Fatalf("ack-loss fraction %.3f far from configured 0.35", frac)
 	}
 }
 

@@ -212,6 +212,13 @@ func (n *Phased) Route(step *comm.Step, rng *sim.RNG) comm.Result {
 	// the software overhead plus the outgoing copy. A clock that never
 	// goes back makes injections one time-sorted run per source.
 	sendDone := n.sendDone
+	total := 0
+	for _, sends := range step.Sends {
+		total += len(sends)
+	}
+	if cap(n.injections) < total {
+		n.injections = make([]injection, 0, total)
+	}
 	injections := n.injections[:0]
 	cursors := n.cursors[:0]
 	for src := 0; src < p; src++ {

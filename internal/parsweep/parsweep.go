@@ -16,8 +16,11 @@
 //     so the output ordering is a pure function of the task grid and
 //     never of goroutine scheduling.
 //  3. Per-task RNG streams. Tasks must derive their stream from the task
-//     index (base.Split(uint64(i))), never consume a shared stream; the
-//     qpvet rngstream check flags violations.
+//     index (base.Split(uint64(i))), never consume a shared stream. A
+//     shared stream makes a result depend on which worker drew first:
+//     calibrate's TestSweeperWorkerCountInvariance prices each trial on
+//     its own stream and compares worker counts, and the race detector
+//     reports the shared draws.
 //
 // With Workers(1) the engine degenerates to an inline loop on the calling
 // goroutine - exactly the historical serial path. Parallel workers claim

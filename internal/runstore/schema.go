@@ -276,5 +276,5 @@ func (a *Artifact) Passed() bool {
 // now is the manifest timestamp source. Only manifests are stamped with
 // wall-clock time; artifacts must stay byte-deterministic and never see it.
 func now() int64 {
-	return time.Now().Unix() //qpvet:ignore determinism -- manifest bookkeeping, never enters simulation
+	return time.Now().Unix()
 }
