@@ -20,10 +20,8 @@ import (
 	"quantpar/internal/comm"
 	"quantpar/internal/experiments"
 	"quantpar/internal/machine"
-	_ "quantpar/internal/machine/backends"
+	"quantpar/internal/machine/backends"
 	"quantpar/internal/phase"
-	"quantpar/internal/router/maspar"
-	"quantpar/internal/router/mesh"
 	"quantpar/internal/sim"
 )
 
@@ -152,15 +150,18 @@ func BenchmarkAblationStagger(b *testing.B) {
 
 // BenchmarkAblationGCelBuffer compares the GCel h-h permutation with the
 // finite receive buffer enabled (default) and effectively unlimited,
-// showing the buffer is what produces the Fig 7 blow-up.
+// showing the buffer is what produces the Fig 7 blow-up. Like every
+// benchmark that measures simulation cost, it turns the memo off.
 func BenchmarkAblationGCelBuffer(b *testing.B) {
+	phase.SetEnabled(false)
+	defer phase.SetEnabled(true)
 	for _, cfg := range []struct {
 		name   string
 		buffer int
 	}{{"finite-256", 256}, {"unlimited", 0}} {
-		p := mesh.DefaultParams()
+		p := backends.DefaultGCelParams()
 		p.RecvBuffer = cfg.buffer
-		r, err := mesh.New(p)
+		m, err := backends.GCel(p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -168,7 +169,7 @@ func BenchmarkAblationGCelBuffer(b *testing.B) {
 			var simT float64
 			base := sim.NewRNG(7)
 			for i := 0; i < b.N; i++ {
-				s, err := calibrate.Fixed(r).MeasureSteps(func(r comm.Router, rng *sim.RNG) []*comm.Step {
+				s, err := calibrate.Fixed(m).MeasureSteps(func(r comm.Router, rng *sim.RNG) []*comm.Step {
 					return calibrate.HHPermutation(r.Procs(), 512, 4, 0, rng)
 				}, 2, base)
 				if err != nil {
@@ -185,13 +186,15 @@ func BenchmarkAblationGCelBuffer(b *testing.B) {
 // split is what produces the multinode-scatter discount: with the split
 // inverted (sender-dominated), the discount collapses.
 func BenchmarkAblationGCelOverheadSplit(b *testing.B) {
+	phase.SetEnabled(false)
+	defer phase.SetEnabled(true)
 	for _, cfg := range []struct {
 		name         string
 		osend, orecv float64
 	}{{"receiver-heavy", 470, 4060}, {"sender-heavy", 4060, 470}} {
-		p := mesh.DefaultParams()
+		p := backends.DefaultGCelParams()
 		p.OSend, p.ORecv = cfg.osend, cfg.orecv
-		r, err := mesh.New(p)
+		m, err := backends.GCel(p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -199,7 +202,7 @@ func BenchmarkAblationGCelOverheadSplit(b *testing.B) {
 			var ratio float64
 			base := sim.NewRNG(9)
 			for i := 0; i < b.N; i++ {
-				sw := calibrate.Fixed(r)
+				sw := calibrate.Fixed(m)
 				sc, err := sw.Measure(func(r comm.Router, rng *sim.RNG) *comm.Step {
 					return calibrate.MultinodeScatter(r.Procs(), 8, 32, 4, rng)
 				}, 2, base.Split(1))
@@ -222,12 +225,14 @@ func BenchmarkAblationGCelOverheadSplit(b *testing.B) {
 // BenchmarkAblationMasParWaves contrasts the wave-based word router against
 // a hypothetical conflict-free router (TByte-only waves) on random
 // permutations: the gap is what the greedy circuit conflicts cost, i.e.
-// the cube-permutation discount of Figs 5/10.
+// the cube-permutation discount of Figs 5/10. It routes on the raw core,
+// so every iteration simulates.
 func BenchmarkAblationMasParWaves(b *testing.B) {
-	r, err := maspar.New(maspar.DefaultParams())
+	m, err := backends.MasPar(backends.DefaultMasParParams())
 	if err != nil {
 		b.Fatal(err)
 	}
+	r := m.Net
 	rng := sim.NewRNG(3)
 	random := calibrate.RandomPermutation(r.Procs(), 4, rng)
 	cube := calibrate.CubePermutation(r.Procs(), 8, 4)
@@ -253,11 +258,14 @@ func BenchmarkAblationMasParWaves(b *testing.B) {
 // workload of the parsweep engine) serially and with four workers. The two
 // produce byte-identical fits; the ratio of their wall clocks is the
 // speedup. On a single-core host the j4 case degenerates to serial
-// throughput plus scheduling noise.
+// throughput plus scheduling noise. The memo is off, so every trial
+// simulates.
 func BenchmarkParallelSweep(b *testing.B) {
 	hs := []int{1, 2, 4, 8, 16, 32}
 	const trials = 8
-	factory := func() (comm.Router, error) { return maspar.New(maspar.DefaultParams()) }
+	phase.SetEnabled(false)
+	defer phase.SetEnabled(true)
+	factory := func() (*machine.Machine, error) { return backends.MasPar(backends.DefaultMasParParams()) }
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("j%d", workers), func(b *testing.B) {
 			b.ReportAllocs()

@@ -31,7 +31,9 @@
 #      facade and in backends.GCel at non-default geometry;
 #   6. a fresh quick-scale run of all experiments diffs clean against the
 #      committed golden artifacts (internal/runstore/testdata/golden):
-#      any check-verdict flip or out-of-tolerance series drift fails CI;
+#      any check-verdict flip or out-of-tolerance series drift fails CI,
+#      and so does any artifact whose canonical bytes differ from its
+#      golden's (a changed router counter, note or check detail);
 #   7. qpbench replays the quick benchmark subset and diffs it against the
 #      committed baseline, BENCH_memo.json: an allocs/op increase beyond
 #      10% fails CI, as does any sim-events/op increase (the event counts
@@ -113,11 +115,12 @@ for prog in "$examples_bin"/*; do
 done
 
 stage "golden artifact regression gate (qpexp -diff)"
-if out=$(go run ./cmd/qpexp -plot=false -diff internal/runstore/testdata/golden); then
+if out=$(go run ./cmd/qpexp -plot=false -diff internal/runstore/testdata/golden) &&
+    printf '%s\n' "$out" | grep -q '^diff: \([0-9]*\) of \1 artifacts byte-stable'; then
     printf '%s\n' "$out" | grep '^diff:'
 else
     printf '%s\n' "$out" | grep '^diff' | tail -40
-    echo "ci: experiment results regressed against the golden artifacts"
+    echo "ci: experiment results regressed against the golden artifacts, or their bytes changed"
     exit 1
 fi
 

@@ -12,7 +12,7 @@ import (
 // ExampleNewMachine builds machines through the name-keyed registry and
 // assembles a custom variant of a registered backend: a 16-node version
 // of the modern-cluster machine, constructed purely from a parameter
-// literal (no new router package), then put to work on a real sort.
+// literal, then put to work on a real sort.
 func ExampleNewMachine() {
 	fmt.Printf("registered: %v\n", quantpar.Machines())
 

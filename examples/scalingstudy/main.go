@@ -16,7 +16,6 @@ import (
 
 	"quantpar"
 	"quantpar/internal/machine/backends"
-	"quantpar/internal/router/mesh"
 )
 
 func main() {
@@ -27,7 +26,7 @@ func main() {
 	}
 	var rows []row
 	for _, side := range []int{4, 8, 16} {
-		p := mesh.DefaultParams()
+		p := backends.DefaultGCelParams()
 		p.Width, p.Height = side, side
 		m, err := backends.GCel(p)
 		if err != nil {

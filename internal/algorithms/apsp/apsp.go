@@ -308,45 +308,20 @@ func broadcast(ctx *bsplib.Context, m *machine.Machine, sc *bcastScratch, seg, d
 // decode reuses program-owned backing, so the N-iteration loop is
 // allocation-free in steady state.
 type bcastScratch struct {
-	mine  []float64  // this position's chunk of the active segment
-	one   [1]float64 // staging for single-item messages
-	f32   []float32  // float32 encode staging on 4-byte-word machines
-	dec   []float64  // decode destination
-	dec32 []float32  // float32 decode staging
+	mine []float64  // this position's chunk of the active segment
+	one  [1]float64 // staging for single-item messages
+	dec  []float64  // decode destination
 }
 
 // encode converts a float64 segment to the machine's wire word inside a
 // payload buffer leased from ctx (valid until the next Sync/Flush).
 func (sc *bcastScratch) encode(ctx *bsplib.Context, m *machine.Machine, xs []float64) []byte {
-	if m.WordBytes == 8 {
-		return wire.AppendFloat64s(ctx.PayloadBuf(8 * len(xs))[:0], xs)
-	}
-	f := sc.f32[:0]
-	for _, v := range xs {
-		f = append(f, float32(v))
-	}
-	sc.f32 = f
-	return wire.AppendFloat32s(ctx.PayloadBuf(4 * len(xs))[:0], f)
+	return wire.AppendWords(ctx.PayloadBuf(m.WordBytes * len(xs))[:0], xs, m.WordBytes)
 }
 
 // decode converts a received payload back to float64s. The result is scratch,
 // overwritten by the next decode call.
 func (sc *bcastScratch) decode(m *machine.Machine, b []byte) []float64 {
-	if m.WordBytes == 8 {
-		sc.dec = wire.Float64sInto(sc.dec, b)
-		return sc.dec
-	}
-	sc.dec32 = wire.Float32sInto(sc.dec32, b)
-	f := sc.dec32
-	dst := sc.dec
-	if cap(dst) < len(f) {
-		dst = make([]float64, len(f))
-	} else {
-		dst = dst[:len(f)]
-	}
-	for i, v := range f {
-		dst[i] = float64(v)
-	}
-	sc.dec = dst
-	return dst
+	sc.dec = wire.WordsInto(sc.dec, b, m.WordBytes)
+	return sc.dec
 }

@@ -230,7 +230,7 @@ func wordProgram(m *machine.Machine, ly layout, v Variant, a, b, out *linalg.Mat
 			slab := chat.RowSpan(l*ly.blkR, ly.blkR)
 			if d := ly.pid(i, k, l); d != id {
 				start := len(cArena)
-				cArena = sc.appendEnc(m, cArena, slab.Data)
+				cArena = wire.AppendWords(cArena, slab.Data, m.WordBytes)
 				ctx.SendWords(d, tagC+l, cArena[start:len(cArena):len(cArena)])
 			} else {
 				// k == j and l == k: own contribution to C_ij^k.
@@ -422,63 +422,28 @@ func mulInPlace(a, b *linalg.Mat, row []float64) {
 	}
 }
 
-// encScratch is per-processor encode/decode scratch. Each processor
-// goroutine owns one instance, so the kernels encode every outgoing slab
-// into a payload buffer leased from the context and decode every incoming
-// slab into one reused staging slice - the steady-state data path performs
-// no per-message allocation.
+// encScratch is per-processor decode scratch. Each processor goroutine
+// owns one instance, so the kernels encode every outgoing slab into a
+// payload buffer leased from the context and decode every incoming slab
+// into one reused slice - the steady-state data path performs no
+// per-message allocation.
 type encScratch struct {
-	f32   []float32 // float32 staging on 4-byte-word machines
-	dec32 []float32
-	dec   []float64
-	slab  linalg.Mat // reused header for slabOf views
+	dec  []float64
+	slab linalg.Mat // reused header for slabOf views
 }
 
 // encode converts float64 values to the machine's wire word (float32 on
 // 4-byte-word machines, float64 on 8-byte ones), writing into a buffer
 // leased from ctx (valid until the processor's next synchronization).
 func (s *encScratch) encode(ctx *bsplib.Context, m *machine.Machine, xs []float64) []byte {
-	return s.appendEnc(m, ctx.PayloadBuf(m.WordBytes * len(xs))[:0], xs)
-}
-
-// appendEnc appends the wire encoding of xs to dst, allowing several slabs
-// to share one leased arena buffer.
-func (s *encScratch) appendEnc(m *machine.Machine, dst []byte, xs []float64) []byte {
-	if m.WordBytes == 8 {
-		return wire.AppendFloat64s(dst, xs)
-	}
-	f := s.f32
-	if cap(f) < len(xs) {
-		f = make([]float32, 0, len(xs))
-	} else {
-		f = f[:0]
-	}
-	for _, x := range xs {
-		f = append(f, float32(x))
-	}
-	s.f32 = f
-	return wire.AppendFloat32s(dst, f)
+	return wire.AppendWords(ctx.PayloadBuf(m.WordBytes * len(xs))[:0], xs, m.WordBytes)
 }
 
 // decode is the inverse of encode. The returned slice is scratch, valid
 // only until the next decode call on this processor.
 func (s *encScratch) decode(m *machine.Machine, b []byte) []float64 {
-	if m.WordBytes == 8 {
-		s.dec = wire.Float64sInto(s.dec, b)
-		return s.dec
-	}
-	s.dec32 = wire.Float32sInto(s.dec32, b)
-	dst := s.dec
-	if cap(dst) < len(s.dec32) {
-		dst = make([]float64, len(s.dec32))
-	} else {
-		dst = dst[:len(s.dec32)]
-	}
-	for i, v := range s.dec32 {
-		dst[i] = float64(v)
-	}
-	s.dec = dst
-	return dst
+	s.dec = wire.WordsInto(s.dec, b, m.WordBytes)
+	return s.dec
 }
 
 // slabOf wraps a decoded payload as a blkR x blkC matrix view. The view

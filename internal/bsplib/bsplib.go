@@ -33,7 +33,6 @@ import (
 	"sync/atomic"
 
 	"quantpar/internal/comm"
-	"quantpar/internal/faults"
 	"quantpar/internal/machine"
 	"quantpar/internal/phase"
 	"quantpar/internal/sim"
@@ -265,8 +264,8 @@ func Run(m *machine.Machine, prog Program, opt Options) (*RunResult, error) {
 	// Rewind the machine's fault clock (if any) so every run sees the same
 	// fault schedule from simulated time zero; this is what makes a faulty
 	// run repeatable and independent of earlier runs on the same machine.
-	if ctrl := faults.ControllerOf(m.Router); ctrl != nil {
-		ctrl.ResetFaultClock()
+	if m.Net != nil {
+		m.Net.ResetFaultClock()
 	}
 
 	// Give every processor a worker, and send and receive scratch for 16

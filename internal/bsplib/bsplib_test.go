@@ -394,6 +394,49 @@ func TestFailingRunErrorIsDeterministic(t *testing.T) {
 	}
 }
 
+// opaqueRouter decorates a router and shows nothing but comm.Router: it
+// has no Unwrap, so nothing can walk through it to the interconnect.
+type opaqueRouter struct{ comm.Router }
+
+// TestFaultsReachWrappedRouter arms a machine whose Router sits under a
+// decorator without Unwrap. The plan reaches the interconnect through
+// Machine.Net, and Run rewinds the fault clock there, so two runs of one
+// faulty program must give identical results: without the rewind the
+// second run would draw its fault verdicts from later steps.
+func TestFaultsReachWrappedRouter(t *testing.T) {
+	m, err := machine.Build("cm5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Router = opaqueRouter{m.Router}
+	plan, err := faults.NewPlan(faults.Spec{Seed: 5, DropRate: 0.1, DelayRate: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := machine.InjectFaults(m, plan); err != nil {
+		t.Fatal(err)
+	}
+	run := func() *RunResult {
+		res, err := Run(m, func(ctx *Context) {
+			for s := 0; s < 4; s++ {
+				ctx.Send((ctx.ID()+1+s)%ctx.P(), 1, []byte("ping"))
+				ctx.Sync()
+			}
+		}, Options{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	a, b := run(), run()
+	if a.Stats.Retries == 0 || a.Stats.Dropped == 0 {
+		t.Fatalf("no fault exercised: %+v", a.Stats)
+	}
+	if a.Time != b.Time || a.Stats != b.Stats {
+		t.Fatalf("twin faulty runs differ: %g us %+v vs %g us %+v", a.Time, a.Stats, b.Time, b.Stats)
+	}
+}
+
 // atLeastTwoCPUs raises GOMAXPROCS to 2 for the rest of the test if it is
 // lower, so that a Run of 2 × minLaneProcs processors or more gets a
 // helper.

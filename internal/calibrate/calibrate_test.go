@@ -6,7 +6,8 @@ import (
 
 	"quantpar/internal/comm"
 	"quantpar/internal/fit"
-	"quantpar/internal/router/maspar"
+	"quantpar/internal/machine"
+	"quantpar/internal/machine/backends"
 	"quantpar/internal/sim"
 )
 
@@ -174,16 +175,16 @@ func TestMultinodeScatterBounds(t *testing.T) {
 // --- measurement and fitting against a real router ---
 
 func TestMeasureDeterminism(t *testing.T) {
-	r, err := maspar.New(maspar.DefaultParams())
+	m, err := backends.MasPar(backends.DefaultMasParParams())
 	if err != nil {
 		t.Fatal(err)
 	}
 	gen := func(r comm.Router, rng *sim.RNG) *comm.Step { return RandomPermutation(r.Procs(), 4, rng) }
-	a, err := Fixed(r).Measure(gen, 5, sim.NewRNG(9))
+	a, err := Fixed(m).Measure(gen, 5, sim.NewRNG(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Fixed(r).Measure(gen, 5, sim.NewRNG(9))
+	b, err := Fixed(m).Measure(gen, 5, sim.NewRNG(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +197,7 @@ func TestMeasureDeterminism(t *testing.T) {
 }
 
 func TestExtractRecoversPlausibleParameters(t *testing.T) {
-	r, err := maspar.New(maspar.DefaultParams())
+	m, err := backends.MasPar(backends.DefaultMasParParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +205,7 @@ func TestExtractRecoversPlausibleParameters(t *testing.T) {
 		Style: StyleOneToH, Hs: []int{1, 4, 16, 32},
 		Sizes: []int{16, 64, 256}, WordBytes: 4, Trials: 4,
 	}
-	p, err := Fixed(r).Extract(spec, sim.NewRNG(1))
+	p, err := Fixed(m).Extract(spec, sim.NewRNG(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +215,7 @@ func TestExtractRecoversPlausibleParameters(t *testing.T) {
 	if p.Sigma < 60 || p.Sigma > 180 {
 		t.Fatalf("implausible sigma %.1f", p.Sigma)
 	}
-	if p.P != r.Procs() {
+	if p.P != m.P() {
 		t.Fatalf("P %d", p.P)
 	}
 	if p.String() == "" {
@@ -239,7 +240,7 @@ func TestMeasureStepsDrainsLargestSkew(t *testing.T) {
 	gen := func(r comm.Router, _ *sim.RNG) []*comm.Step {
 		return []*comm.Step{{Sends: make([][]comm.Msg, r.Procs())}}
 	}
-	s, err := Fixed(skewRouter{}).MeasureSteps(gen, 1, sim.NewRNG(1))
+	s, err := Fixed(&machine.Machine{Router: skewRouter{}}).MeasureSteps(gen, 1, sim.NewRNG(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +255,7 @@ func TestMeasureStepsDrainsLargestSkew(t *testing.T) {
 // of workers, because every trial draws from a stream derived only from
 // (base, point, trial) and each worker routes on a private router.
 func TestSweeperWorkerCountInvariance(t *testing.T) {
-	factory := func() (comm.Router, error) { return maspar.New(maspar.DefaultParams()) }
+	factory := func() (*machine.Machine, error) { return backends.MasPar(backends.DefaultMasParParams()) }
 	sweep := func(workers int) Sweeper { return Sweeper{Workers: workers, New: factory} }
 
 	probe, err := factory()
@@ -280,7 +281,7 @@ func TestSweeperWorkerCountInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A Fixed sweeper over one router must agree with the factory path.
+	// A Fixed sweeper over one machine must agree with the factory path.
 	got, err := Fixed(probe).Measure(mGen, 6, sim.NewRNG(3))
 	if err != nil {
 		t.Fatal(err)
@@ -295,7 +296,7 @@ func TestSweeperWorkerCountInvariance(t *testing.T) {
 	byHand := make([]float64, 6)
 	for tr := range byHand {
 		rng := sim.NewRNG(3).Split(uint64(tr))
-		byHand[tr] = probe.Route(mGen(probe, rng), rng).Elapsed
+		byHand[tr] = probe.Router.Route(mGen(probe.Router, rng), rng).Elapsed
 	}
 	if want := fit.Summarize(byHand); serialM != want {
 		t.Fatalf("serial Measure %+v != per-trial streams %+v", serialM, want)

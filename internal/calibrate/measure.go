@@ -1,46 +1,57 @@
 package calibrate
 
 import (
+	"fmt"
 	"slices"
 
 	"quantpar/internal/comm"
-	"quantpar/internal/faults"
 	"quantpar/internal/fit"
+	"quantpar/internal/machine"
 	"quantpar/internal/parsweep"
 	"quantpar/internal/sim"
 )
 
-// resetFaults rewinds the router's fault clock (when it carries a fault
-// plan) so each trial sees the fault schedule from simulated time zero.
-// Trials land on worker-private routers in scheduling order, so without
-// the rewind the clock position - and thus the link-kill windows a trial
-// observes - would depend on the worker count.
-func resetFaults(r comm.Router) {
-	if ctrl := faults.ControllerOf(r); ctrl != nil {
-		ctrl.ResetFaultClock()
-	}
-}
-
 // Sweeper executes calibration measurements, fanning the independent
-// (sweep-point x trial) grid across parsweep workers. Routers are stateful,
-// so every worker owns a private instance built by New; generator closures
-// receive the worker's router and must not capture a shared one for
-// routing (reading immutable configuration such as Procs() is fine).
+// (sweep-point x trial) grid across parsweep workers. Machines are
+// stateful, so every worker owns a private instance built by New;
+// generator closures receive the worker's router and must not capture a
+// shared one for routing (reading immutable configuration such as Procs()
+// is fine).
 //
 // Results are byte-identical for every worker count: trial t of point p
 // always draws from the same Split-derived stream and results are
 // collected in grid order. Workers <= 0 selects GOMAXPROCS; Workers == 1
-// is the serial path (one router, inline loop, no goroutines).
+// is the serial path (one machine, inline loop, no goroutines).
 type Sweeper struct {
 	Workers int
-	New     func() (comm.Router, error)
+	New     func() (*machine.Machine, error)
 }
 
-// Fixed wraps an already-constructed router as a serial Sweeper. It is
-// how a caller holding one router (the facade's Calibrate, tests,
+// Fixed wraps an already-constructed machine as a serial Sweeper. It is
+// how a caller holding one machine (the facade's Calibrate, tests,
 // benchmarks) measures on it.
-func Fixed(r comm.Router) Sweeper {
-	return Sweeper{Workers: 1, New: func() (comm.Router, error) { return r, nil }}
+func Fixed(m *machine.Machine) Sweeper {
+	return Sweeper{Workers: 1, New: func() (*machine.Machine, error) { return m, nil }}
+}
+
+// grid prices points*trials independent tasks on worker-private machines
+// and returns their times in task order; price gets the router a task
+// prices on. Each task first rewinds its machine's fault clock (when it
+// carries a fault plan) so it sees the fault schedule from simulated time
+// zero: tasks land on machines in scheduling order, so without the rewind
+// the clock position - and thus the link-kill windows a trial observes -
+// would depend on the worker count.
+func (s Sweeper) grid(points, trials int, price func(r comm.Router, i int) float64) ([]float64, error) {
+	if trials < 1 {
+		return nil, fmt.Errorf("calibrate: %d trials, need at least 1", trials)
+	}
+	return parsweep.Run(parsweep.Workers(s.Workers), points*trials, s.New,
+		func(m *machine.Machine, i int) (float64, error) {
+			if m.Net != nil {
+				m.Net.ResetFaultClock()
+			}
+			return price(m.Router, i), nil
+		})
 }
 
 // Measure routes the step trials times (with fresh random patterns when
@@ -48,12 +59,10 @@ func Fixed(r comm.Router) Sweeper {
 // elapsed times. Each trial draws its own RNG stream from base, so trial
 // sets are reproducible and independent of worker count and scheduling.
 func (s Sweeper) Measure(gen func(r comm.Router, rng *sim.RNG) *comm.Step, trials int, base *sim.RNG) (fit.Summary, error) {
-	times, err := parsweep.Run(parsweep.Workers(s.Workers), trials, s.New,
-		func(r comm.Router, t int) (float64, error) {
-			resetFaults(r)
-			rng := base.Split(uint64(t))
-			return r.Route(gen(r, rng), rng).Elapsed, nil
-		})
+	times, err := s.grid(1, trials, func(r comm.Router, t int) float64 {
+		rng := base.Split(uint64(t))
+		return r.Route(gen(r, rng), rng).Elapsed
+	})
 	if err != nil {
 		return fit.Summary{}, err
 	}
@@ -66,12 +75,10 @@ func (s Sweeper) Measure(gen func(r comm.Router, rng *sim.RNG) *comm.Step, trial
 // steps of one trial are inherently sequential (skews chain), so the trial
 // is the unit of parallelism.
 func (s Sweeper) MeasureSteps(gen func(r comm.Router, rng *sim.RNG) []*comm.Step, trials int, base *sim.RNG) (fit.Summary, error) {
-	times, err := parsweep.Run(parsweep.Workers(s.Workers), trials, s.New,
-		func(r comm.Router, t int) (float64, error) {
-			resetFaults(r)
-			rng := base.Split(uint64(t))
-			return routeTrialSteps(r, gen(r, rng), rng), nil
-		})
+	times, err := s.grid(1, trials, func(r comm.Router, t int) float64 {
+		rng := base.Split(uint64(t))
+		return routeTrialSteps(r, gen(r, rng), rng)
+	})
 	if err != nil {
 		return fit.Summary{}, err
 	}
@@ -129,16 +136,14 @@ type Point struct {
 // one point per x. The whole (point x trial) grid is one parsweep batch,
 // so long sweeps saturate the workers even when trial counts are small.
 func (s Sweeper) Curve(xs []int, gen func(r comm.Router, x int, rng *sim.RNG) *comm.Step, trials int, base *sim.RNG) ([]Point, error) {
-	times, err := parsweep.Run(parsweep.Workers(s.Workers), len(xs)*trials, s.New,
-		func(r comm.Router, i int) (float64, error) {
-			resetFaults(r)
-			p, t := i/trials, i%trials
-			// The stream nesting (per-point Split, then per-trial Split)
-			// mirrors the historical serial path exactly, so curve values
-			// are unchanged for any worker count.
-			rng := base.Split(uint64(1000 + p)).Split(uint64(t))
-			return r.Route(gen(r, xs[p], rng), rng).Elapsed, nil
-		})
+	times, err := s.grid(len(xs), trials, func(r comm.Router, i int) float64 {
+		p, t := i/trials, i%trials
+		// The stream nesting (per-point Split, then per-trial Split)
+		// mirrors the historical serial path exactly, so curve values
+		// are unchanged for any worker count.
+		rng := base.Split(uint64(1000 + p)).Split(uint64(t))
+		return r.Route(gen(r, xs[p], rng), rng).Elapsed
+	})
 	if err != nil {
 		return nil, err
 	}

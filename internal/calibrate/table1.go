@@ -108,7 +108,7 @@ func (s Sweeper) Extract(spec Spec, base *sim.RNG) (Params, error) {
 		return Params{}, fmt.Errorf("calibrate: sigma/ell fit: %w", err)
 	}
 	return Params{
-		P:     probe.Procs(),
+		P:     probe.P(),
 		G:     gl.Slope,
 		L:     gl.Intercept,
 		Sigma: se.Slope,

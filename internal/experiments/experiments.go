@@ -307,11 +307,6 @@ func (c countingRouter) Route(step *comm.Step, rng *sim.RNG) comm.Result {
 	return res
 }
 
-// Unwrap exposes the decorated router, so capability walks (the fault
-// controller lookup, the conformance tests' unwrap chain) see through the
-// counting layer.
-func (c countingRouter) Unwrap() comm.Router { return c.Router }
-
 // worker builds one worker-private machine with mk, arms it with its own
 // instance of the context's fault plan (if any), and routes its steps
 // through the counting layer that feeds the run's stats collector.
@@ -336,13 +331,7 @@ func (c *Context) worker(mk machineFactory) (*machine.Machine, error) {
 // sweeper adapts a machine factory to a calibration sweeper honouring the
 // context's worker budget.
 func (c *Context) sweeper(mk machineFactory) calibrate.Sweeper {
-	return calibrate.Sweeper{Workers: c.Workers, New: func() (comm.Router, error) {
-		m, err := c.worker(mk)
-		if err != nil {
-			return nil, err
-		}
-		return m.Router, nil
-	}}
+	return calibrate.Sweeper{Workers: c.Workers, New: func() (*machine.Machine, error) { return c.worker(mk) }}
 }
 
 // sweepGrid runs task for each of runs runs at every value, on

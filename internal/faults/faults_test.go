@@ -1,11 +1,8 @@
 package faults
 
 import (
-	"quantpar/internal/comm"
 	"strings"
 	"testing"
-
-	"quantpar/internal/sim"
 )
 
 func mustPlan(t *testing.T, s Spec) *Plan {
@@ -247,60 +244,5 @@ func TestDeliveryErrorMessage(t *testing.T) {
 		if !strings.Contains(msg, want) {
 			t.Fatalf("error %q missing %q", msg, want)
 		}
-	}
-}
-
-// fakeRouter and wrapper exercise the ControllerOf unwrap walk without
-// importing netsim (which would cycle).
-type fakeRouter struct{ plan *Plan }
-
-func (f *fakeRouter) Name() string                               { return "fake" }
-func (f *fakeRouter) Procs() int                                 { return 1 }
-func (f *fakeRouter) Route(_ *comm.Step, _ *sim.RNG) comm.Result { return comm.Result{} }
-func (f *fakeRouter) SetFaultPlan(p *Plan)                       { f.plan = p }
-func (f *fakeRouter) FaultPlan() *Plan                           { return f.plan }
-func (f *fakeRouter) ResetFaultClock() {
-	if f.plan != nil {
-		f.plan.ResetClock()
-	}
-}
-
-type wrapper struct{ inner comm.Router }
-
-func (w wrapper) Name() string                               { return w.inner.Name() }
-func (w wrapper) Procs() int                                 { return w.inner.Procs() }
-func (w wrapper) Route(s *comm.Step, r *sim.RNG) comm.Result { return w.inner.Route(s, r) }
-func (w wrapper) Unwrap() comm.Router                        { return w.inner }
-
-type opaque struct{}
-
-func (opaque) Name() string                               { return "opaque" }
-func (opaque) Procs() int                                 { return 1 }
-func (opaque) Route(_ *comm.Step, _ *sim.RNG) comm.Result { return comm.Result{} }
-
-func TestControllerOfWalksUnwrapChain(t *testing.T) {
-	fr := &fakeRouter{}
-	ctrl := ControllerOf(wrapper{inner: wrapper{inner: fr}})
-	if ctrl == nil {
-		t.Fatal("controller not found through two wrappers")
-	}
-	plan := mustPlan(t, Spec{Seed: 3, DropRate: 0.1, LinkKills: []LinkKill{{U: 0, V: 1, KillAt: 5}}})
-	ctrl.SetFaultPlan(plan)
-	if fr.plan != plan {
-		t.Fatal("SetFaultPlan did not reach the inner router")
-	}
-	plan.Advance(9)
-	if !plan.LinkDead(0, 1) {
-		t.Fatal("link kill at 5 not active at clock 9")
-	}
-	ctrl.ResetFaultClock()
-	if plan.LinkDead(0, 1) {
-		t.Fatal("ResetFaultClock did not rewind the plan")
-	}
-	if ControllerOf(opaque{}) != nil {
-		t.Fatal("controller invented for a plain router")
-	}
-	if ControllerOf(wrapper{inner: opaque{}}) != nil {
-		t.Fatal("controller invented through a wrapper over a plain router")
 	}
 }

@@ -3,7 +3,6 @@ package faults
 import (
 	"fmt"
 
-	"quantpar/internal/comm"
 	"quantpar/internal/sim"
 )
 
@@ -198,33 +197,4 @@ type DeliveryError struct {
 func (e *DeliveryError) Error() string {
 	return fmt.Sprintf("faults: router %s: delivery %d -> %d (seq %d) failed after %d attempts",
 		e.Router, e.Src, e.Dst, e.Seq, e.Attempts)
-}
-
-// Controller is the fault-management surface a router backend exposes.
-// The netsim core implements it; wrappers (the phase cache, counting
-// decorators) forward to it through Unwrap.
-type Controller interface {
-	// SetFaultPlan activates a plan (nil deactivates fault injection).
-	SetFaultPlan(p *Plan)
-	// FaultPlan returns the active plan, nil when faults are off.
-	FaultPlan() *Plan
-	// ResetFaultClock rewinds the active plan's clock to the start of a
-	// run; a no-op without a plan.
-	ResetFaultClock()
-}
-
-// ControllerOf walks a router's Unwrap chain to its fault controller,
-// returning nil when the stack has none (e.g. a hand-rolled test router).
-func ControllerOf(r comm.Router) Controller {
-	for r != nil {
-		if c, ok := r.(Controller); ok {
-			return c
-		}
-		u, ok := r.(interface{ Unwrap() comm.Router })
-		if !ok {
-			return nil
-		}
-		r = u.Unwrap()
-	}
-	return nil
 }

@@ -19,13 +19,10 @@ type ClusterParams struct {
 	Ary  int // nodes per torus dimension
 	Dims int // torus dimensions; node count is Ary^Dims
 
-	OSend       float64 // per-message send overhead (MPI eager path)
-	ORecv       float64 // per-message receive/matching overhead
-	CSendByte   float64 // per-byte copy cost, sender side
-	CRecvByte   float64 // per-byte copy cost, receiver side
-	OSendBlock  float64 // per-message overhead of the rendezvous path
-	ORecvBlock  float64
-	WordBytes   int     // eager/rendezvous threshold
+	// Overheads are the MPI layer's per-message send and receive/matching
+	// costs and per-byte copies; WordBytes is the eager/rendezvous
+	// threshold, above which the rendezvous path's overheads apply.
+	netsim.Overheads
 	Window      int     // per-destination in-flight cap (NIC queue depth)
 	THop        float64 // per-hop switch latency
 	TByteNet    float64 // per-byte wire time
@@ -40,13 +37,15 @@ func DefaultClusterParams() ClusterParams {
 		Ary:  4,
 		Dims: 3,
 
-		OSend:       1.1,
-		ORecv:       0.9,
-		CSendByte:   0.0004,
-		CRecvByte:   0.0004,
-		OSendBlock:  2.5,
-		ORecvBlock:  2.0,
-		WordBytes:   64,
+		Overheads: netsim.Overheads{
+			OSend:      1.1,
+			ORecv:      0.9,
+			CSendByte:  0.0004,
+			CRecvByte:  0.0004,
+			OSendBlock: 2.5,
+			ORecvBlock: 2.0,
+			WordBytes:  64,
+		},
 		Window:      32,
 		THop:        0.05,
 		TByteNet:    0.0001,
@@ -56,12 +55,10 @@ func DefaultClusterParams() ClusterParams {
 }
 
 // Cluster builds a modern-cluster machine; DefaultClusterParams() gives
-// the 64-node default. Unlike the 1996 backends it has no dedicated router
-// package: the router is assembled inline from netsim policies (the
-// active-message engine, a torus-latency closure, and a declarative Spec)
-// plus the config struct - the "machines are data" path the registry
-// exists for. Each node is a ~1 Gflops core, so alpha is 2 ns per
-// compound flop.
+// the 64-node default. Like every backend, its interconnect is assembled
+// inline from netsim parts (the active-message engine, a torus-latency
+// closure, and a declarative Spec) plus the params struct. Each node is a
+// ~1 Gflops core, so alpha is 2 ns per compound flop.
 func Cluster(p ClusterParams) (*machine.Machine, error) {
 	torus, err := topology.NewTorus(p.Ary, p.Dims)
 	if err != nil {
@@ -72,17 +69,9 @@ func Cluster(p ClusterParams) (*machine.Machine, error) {
 	var core *netsim.Core
 	var bfs topology.PathScratch
 	eng, err := netsim.NewActive(netsim.ActiveConfig{
-		Procs: torus.Nodes(),
-		Overheads: netsim.Overheads{
-			OSend:      p.OSend,
-			ORecv:      p.ORecv,
-			CSendByte:  p.CSendByte,
-			CRecvByte:  p.CRecvByte,
-			OSendBlock: p.OSendBlock,
-			ORecvBlock: p.ORecvBlock,
-			WordBytes:  p.WordBytes,
-		},
-		Window: p.Window,
+		Procs:     torus.Nodes(),
+		Overheads: p.Overheads,
+		Window:    p.Window,
 		Latency: func(src, dst, bytes int) sim.Time {
 			hops := 0
 			if plan := core.FaultPlan(); plan != nil && plan.HasDeadLinks() {

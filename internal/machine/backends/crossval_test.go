@@ -27,7 +27,7 @@ func TestCrossValidateGCelHRelations(t *testing.T) {
 	}
 	base := sim.NewRNG(41)
 	for _, h := range []int{1, 2, 4, 8} {
-		s, err := calibrate.Fixed(m.Router).Measure(func(_ comm.Router, rng *sim.RNG) *comm.Step {
+		s, err := calibrate.Fixed(m).Measure(func(_ comm.Router, rng *sim.RNG) *comm.Step {
 			return calibrate.FullHRelation(m.P(), h, 4, rng)
 		}, 4, base.Split(uint64(h)))
 		if err != nil {
@@ -51,7 +51,7 @@ func TestCrossValidateGCelBlocks(t *testing.T) {
 	}
 	base := sim.NewRNG(43)
 	for _, bytes := range []int{256, 1024, 8192} {
-		s, err := calibrate.Fixed(m.Router).Measure(func(_ comm.Router, rng *sim.RNG) *comm.Step {
+		s, err := calibrate.Fixed(m).Measure(func(_ comm.Router, rng *sim.RNG) *comm.Step {
 			return calibrate.BlockPermutation(m.P(), bytes, rng)
 		}, 4, base.Split(uint64(bytes)))
 		if err != nil {
@@ -75,7 +75,7 @@ func TestCrossValidateCM5HRelations(t *testing.T) {
 	}
 	base := sim.NewRNG(47)
 	for _, h := range []int{2, 8, 32} {
-		s, err := calibrate.Fixed(m.Router).Measure(func(_ comm.Router, rng *sim.RNG) *comm.Step {
+		s, err := calibrate.Fixed(m).Measure(func(_ comm.Router, rng *sim.RNG) *comm.Step {
 			return calibrate.FullHRelation(m.P(), h, 8, rng)
 		}, 4, base.Split(uint64(h)))
 		if err != nil {
@@ -99,7 +99,7 @@ func TestCrossValidateMasParPartialPerms(t *testing.T) {
 	}
 	base := sim.NewRNG(53)
 	for _, active := range []int{16, 128, 1024} {
-		s, err := calibrate.Fixed(m.Router).Measure(func(_ comm.Router, rng *sim.RNG) *comm.Step {
+		s, err := calibrate.Fixed(m).Measure(func(_ comm.Router, rng *sim.RNG) *comm.Step {
 			return calibrate.PartialPermutation(m.P(), active, 4, rng)
 		}, 6, base.Split(uint64(active)))
 		if err != nil {

@@ -1,9 +1,8 @@
-// Package machine assembles simulated experimental platforms: a router
-// backend (from internal/router/* over the shared netsim core), a compute
-// model, and word-size/SIMD metadata. Machines are constructed by name
-// through the registry (Build("cm5")); the concrete backends live in the
-// machine/backends package, which registers them at init time, so this
-// package imports no router package.
+// Package machine assembles simulated experimental platforms: a netsim
+// core (an engine plus its declarative identity), a compute model, and
+// word-size/SIMD metadata. Machines are constructed by name through the
+// registry (Build("cm5")); the concrete backends live in the
+// machine/backends package, which registers them at init time.
 package machine
 
 import (
@@ -13,6 +12,7 @@ import (
 
 	"quantpar/internal/comm"
 	"quantpar/internal/faults"
+	"quantpar/internal/netsim"
 	"quantpar/internal/phase"
 	"quantpar/internal/sim"
 )
@@ -25,84 +25,61 @@ var builds atomic.Int64
 // Builds returns the number of machine constructions since process start.
 func Builds() int64 { return builds.Load() }
 
-// XNetPricer is the capability of machines with a SIMD nearest-neighbour
-// grid (the MasPar's xnet): pricing a lockstep shift of bytes by dist grid
-// positions. Consumers (the vendor library's matmul intrinsic) depend on
-// this interface rather than on a concrete router package.
-type XNetPricer interface {
-	XnetShift(bytes, dist int) sim.Time
-}
-
-// Machine is one simulated experimental platform. Router is always the
-// phase-memoizing wrapper over the machine's raw interconnect simulator
-// (phase.Wrap), so every consumer of the machine prices steps through the
-// memo cache transparently.
+// Machine is one simulated experimental platform. Router is what every
+// consumer prices steps through: the phase-memoizing wrapper over Net
+// (phase.Wrap), possibly under further decorators. Net is the raw
+// interconnect itself, which carries the memo identity and the fault
+// controller.
 type Machine struct {
 	Name      string
 	Router    comm.Router
+	Net       *netsim.Core
 	Compute   Compute
 	WordBytes int
 	// SIMD marks lockstep machines (the MasPar): every communication step
 	// is implicitly aligned, word streams are priced as sequences of
 	// synchronous word steps, and processors can never drift.
 	SIMD bool
-	// XNet exposes the xnet-grid capability when the machine's router has
-	// one (the MasPar); nil otherwise.
-	XNet XNetPricer
+	// XNet prices a lockstep shift of bytes by dist positions on the
+	// machine's SIMD nearest-neighbour grid (the MasPar's xnet); nil on
+	// machines without one.
+	XNet func(bytes, dist int) sim.Time
 }
 
 // P returns the number of processors.
 func (m *Machine) P() int { return m.Router.Procs() }
 
-// identified is what a raw router must expose beyond comm.Router to be
-// assembled into a machine: the identity pair the phase memo cache keys on.
-// Backends built on netsim.Core satisfy it automatically.
-type identified interface {
-	Fingerprint() uint64
-	UsesRNG() bool
-}
-
-// Assemble builds a Machine from a raw router backend and a compute model:
-// it validates the compute constants, wraps the router in the phase memo
-// cache using the router's own Fingerprint/UsesRNG identity, and detects
-// optional capabilities (XNetPricer) on the raw router. Every machine in
-// the system, registry-built or not, goes through here.
-func Assemble(name string, r comm.Router, c Compute, wordBytes int, simd bool) (*Machine, error) {
+// Assemble builds a Machine from a netsim core and a compute model: it
+// validates the compute constants and wraps the core in the phase memo
+// cache under the core's own Fingerprint/UsesRNG identity. Every machine
+// in the system, registry-built or not, goes through here.
+func Assemble(name string, net *netsim.Core, c Compute, wordBytes int, simd bool) (*Machine, error) {
 	builds.Add(1)
 	if err := Validate(c); err != nil {
 		return nil, err
 	}
-	id, ok := r.(identified)
-	if !ok {
-		return nil, fmt.Errorf("machine: router %q exposes no Fingerprint/UsesRNG identity", r.Name())
-	}
-	m := &Machine{
+	return &Machine{
 		Name:      name,
-		Router:    phase.Wrap(r, id.Fingerprint(), id.UsesRNG()),
+		Router:    phase.Wrap(net, net.Fingerprint(), net.UsesRNG()),
+		Net:       net,
 		Compute:   c,
 		WordBytes: wordBytes,
 		SIMD:      simd,
-	}
-	if xp, ok := r.(XNetPricer); ok {
-		m.XNet = xp
-	}
-	return m, nil
+	}, nil
 }
 
 // InjectFaults arms (with a plan) or disarms (with nil) fault injection on
-// an already-assembled machine's interconnect. It walks the router's
-// Unwrap chain to the netsim core, so it works on the memo-cache wrapper
-// every machine carries. Machines whose router has no fault surface reject
-// a non-nil plan.
+// an already-assembled machine's interconnect, whatever decorators its
+// Router carries. A machine without a Net (one not built by Assemble)
+// rejects a non-nil plan.
 func InjectFaults(m *Machine, p *faults.Plan) error {
-	ctrl := faults.ControllerOf(m.Router)
-	if ctrl == nil {
+	if m.Net == nil {
 		if p == nil {
 			return nil
 		}
-		return fmt.Errorf("machine: router %q has no fault-injection surface", m.Router.Name())
+		return fmt.Errorf("machine: %q has no simulated interconnect to inject faults into", m.Name)
 	}
-	ctrl.SetFaultPlan(p)
+	m.Net.SetFaultPlan(p)
 	return nil
 }
 

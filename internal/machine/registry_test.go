@@ -5,33 +5,29 @@ import (
 	"testing"
 
 	"quantpar/internal/comm"
+	"quantpar/internal/netsim"
+	"quantpar/internal/phase"
 	"quantpar/internal/sim"
 )
 
-// stubRouter is a minimal router with a cache identity, for exercising the
-// registry without pulling in a concrete backend.
-type stubRouter struct{ procs int }
-
-func (r *stubRouter) Name() string { return "stub" }
-func (r *stubRouter) Procs() int   { return r.procs }
-func (r *stubRouter) Route(step *comm.Step, rng *sim.RNG) comm.Result {
-	return comm.Result{}
+// stubEngine is a minimal engine, for exercising the registry without
+// pulling in a concrete backend.
+type stubEngine struct {
+	procs int
+	wd    sim.Watchdog
 }
-func (r *stubRouter) Fingerprint() uint64 { return 0xdead }
-func (r *stubRouter) UsesRNG() bool       { return false }
 
-// bareRouter satisfies comm.Router but exposes no Fingerprint/UsesRNG.
-type bareRouter struct{}
+func (e *stubEngine) Procs() int                             { return e.procs }
+func (e *stubEngine) Route(*comm.Step, *sim.RNG) comm.Result { return comm.Result{} }
+func (e *stubEngine) Watchdog() *sim.Watchdog                { return &e.wd }
 
-func (bareRouter) Name() string { return "bare" }
-func (bareRouter) Procs() int   { return 2 }
-func (bareRouter) Route(step *comm.Step, rng *sim.RNG) comm.Result {
-	return comm.Result{}
+func stubNet(procs int) *netsim.Core {
+	return netsim.NewCore(netsim.NewSpec("stub"), &stubEngine{procs: procs})
 }
 
 func testFactory(name string, procs int) Factory {
 	return func() (*Machine, error) {
-		return Assemble(name, &stubRouter{procs: procs}, &BasicCompute{AlphaC: 1, Beta: 1, Gamma: 1}, 4, false)
+		return Assemble(name, stubNet(procs), &BasicCompute{AlphaC: 1, Beta: 1, Gamma: 1}, 4, false)
 	}
 }
 
@@ -105,20 +101,19 @@ func TestNamesSorted(t *testing.T) {
 	}
 }
 
+// TestAssembleRequiresIdentity: a machine prices through the phase memo
+// over its own core, which carries the memo identity, and Assemble refuses
+// a zero compute model.
 func TestAssembleRequiresIdentity(t *testing.T) {
-	cases := []struct {
-		name string
-		r    comm.Router
-		c    Compute
-	}{
-		// A router without Fingerprint/UsesRNG cannot be memoized, so
-		// Assemble must refuse it rather than silently skip the phase cache.
-		{"router without identity", bareRouter{}, &BasicCompute{AlphaC: 1, Beta: 1, Gamma: 1}},
-		{"zero compute model", &stubRouter{procs: 2}, &BasicCompute{}},
+	net := stubNet(2)
+	m, err := Assemble("anon", net, &BasicCompute{AlphaC: 1, Beta: 1, Gamma: 1}, 4, false)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range cases {
-		if _, err := Assemble("anon", c.r, c.c, 4, false); err == nil {
-			t.Errorf("%s accepted", c.name)
-		}
+	if cr, ok := m.Router.(*phase.CachedRouter); !ok || cr.Unwrap() != comm.Router(net) || m.Net != net {
+		t.Fatalf("router %T over %v, want the phase memo over the machine's core", m.Router, m.Net)
+	}
+	if _, err := Assemble("anon", stubNet(2), &BasicCompute{}, 4, false); err == nil {
+		t.Error("zero compute model accepted")
 	}
 }

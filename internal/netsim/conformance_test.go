@@ -10,6 +10,7 @@ import (
 	"quantpar/internal/comm"
 	"quantpar/internal/machine"
 	_ "quantpar/internal/machine/backends" // registers every backend under test
+	"quantpar/internal/netsim"
 	"quantpar/internal/phase"
 	"quantpar/internal/sim"
 )
@@ -21,18 +22,18 @@ import (
 // all of this for free by registering itself.
 
 // routerOf builds the named machine and returns its memoizing router
-// facade plus the raw engine-backed router underneath.
-func routerOf(t testing.TB, name string) (*phase.CachedRouter, comm.Router) {
+// facade plus the raw engine-backed router underneath, the machine's Net.
+func routerOf(t testing.TB, name string) (*phase.CachedRouter, *netsim.Core) {
 	t.Helper()
 	m, err := machine.Build(name)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cr, ok := m.Router.(*phase.CachedRouter)
-	if !ok {
-		t.Fatalf("%s: machine router is %T, not a phase-cached router", name, m.Router)
+	if !ok || cr.Unwrap() != comm.Router(m.Net) {
+		t.Fatalf("%s: machine router is %T, not a phase-cached router over the machine's Net", name, m.Router)
 	}
-	return cr, cr.Unwrap()
+	return cr, m.Net
 }
 
 // steadyStep builds the per-backend steady-state pattern: all-to-all on
@@ -184,8 +185,7 @@ func TestRouterConformance(t *testing.T) {
 // registered backend and asserts the hot path performs zero allocations
 // per Route call: every engine's scratch (heaps, event queues, claim
 // tables, finish vectors) must be reused across calls. This single
-// registry-driven benchmark replaces the per-router copies the five
-// router packages used to carry.
+// registry-driven benchmark covers every backend at once.
 func BenchmarkRouterSteadyState(b *testing.B) {
 	for _, name := range machine.Names() {
 		b.Run(name, func(b *testing.B) {

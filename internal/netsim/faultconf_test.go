@@ -7,6 +7,7 @@ import (
 	"quantpar/internal/comm"
 	"quantpar/internal/faults"
 	"quantpar/internal/machine"
+	"quantpar/internal/netsim"
 	"quantpar/internal/sim"
 	"quantpar/internal/topology"
 )
@@ -42,20 +43,17 @@ func conformanceSpec() faults.Spec {
 }
 
 // armed builds the named machine and activates a plan compiled from spec,
-// returning the raw (cache-free) router. Routing happens on the raw router
-// so the assertions see the protocol itself, not the memo layer.
-func armed(t testing.TB, name string, spec faults.Spec) comm.Router {
+// returning the raw (cache-free) router, the machine's Net. Routing happens
+// on the raw router so the assertions see the protocol itself, not the
+// memo layer.
+func armed(t testing.TB, name string, spec faults.Spec) *netsim.Core {
 	t.Helper()
 	_, raw := routerOf(t, name)
 	plan, err := faults.NewPlan(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl := faults.ControllerOf(raw)
-	if ctrl == nil {
-		t.Fatalf("%s: router %T exposes no fault controller", name, raw)
-	}
-	ctrl.SetFaultPlan(plan)
+	raw.SetFaultPlan(plan)
 	return raw
 }
 
@@ -156,7 +154,7 @@ func TestFaultProtocolConformance(t *testing.T) {
 				s := steadyStep(p, 24)
 				used.Route(s, sim.NewRNG(5)) // exercise the protocol scratch
 
-				faults.ControllerOf(used).SetFaultPlan(nil)
+				used.SetFaultPlan(nil)
 				_, never := routerOf(t, name)
 				cleared := used.Route(s, sim.NewRNG(6))
 				pristine := never.Route(s, sim.NewRNG(6))

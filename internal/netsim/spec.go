@@ -76,10 +76,10 @@ type Engine interface {
 }
 
 // Core couples a Spec with an Engine into a full router backend: it
-// implements comm.Router, the Fingerprint/UsesRNG pair machine.Assemble
-// and the phase memo cache expect, and the faults.Controller surface.
-// Policy packages embed a *Core and add only their topology callbacks and
-// capability methods.
+// implements comm.Router, carries the Fingerprint/UsesRNG pair the phase
+// memo cache keys on, and is the fault controller (SetFaultPlan,
+// FaultPlan, ResetFaultClock). A machine holds its core as Machine.Net;
+// backends pass topology closures to the engine and nothing else.
 type Core struct {
 	spec *Spec
 	eng  Engine

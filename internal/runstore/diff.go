@@ -1,9 +1,12 @@
 package runstore
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math"
+	"reflect"
+	"strings"
 )
 
 // DefaultTolerance is the relative series drift -diff accepts before
@@ -50,6 +53,10 @@ type ArtifactDiff struct {
 	FingerprintMismatch bool
 	Drifts              []SeriesDrift
 	Flips               []CheckFlip
+	// BytesDiffer names the parts whose canonical encodings differ from
+	// the baseline's, empty when the bytes are equal. It fails no gate by
+	// itself: drift within the tolerance changes bytes too.
+	BytesDiffer []string
 }
 
 // Regression reports whether the diff fails the gate at the tolerance.
@@ -70,9 +77,10 @@ func (d *ArtifactDiff) Regression(tol float64) bool {
 	return false
 }
 
-// Diff compares a current artifact against its baseline.
+// Diff compares a current artifact against its baseline: series by series,
+// check verdict by check verdict, and then as canonical bytes.
 func Diff(base, cur *Artifact) ArtifactDiff {
-	d := ArtifactDiff{ID: cur.Config.ID, FingerprintMismatch: base.Fingerprint != cur.Fingerprint}
+	d := ArtifactDiff{ID: cur.Config.ID, FingerprintMismatch: base.Fingerprint != cur.Fingerprint, BytesDiffer: bytesDiffer(base, cur)}
 
 	// Series align by name; order changes alone are not drift.
 	baseByName := make(map[string]*Series, len(base.Result.Series))
@@ -120,6 +128,36 @@ func Diff(base, cur *Artifact) ArtifactDiff {
 		}
 	}
 	return d
+}
+
+// bytesDiffer returns the parts of an artifact whose canonical encodings
+// differ between base and cur ("Config", "Result.Stats", ...), nil when
+// the whole artifacts encode to the same bytes. A value that does not
+// encode (a non-finite float) differs.
+func bytesDiffer(base, cur *Artifact) []string {
+	if sameEncoding(base, cur) {
+		return nil
+	}
+	var out []string
+	if !sameEncoding(base.Config, cur.Config) {
+		out = append(out, "Config")
+	}
+	b, c := reflect.ValueOf(base.Result), reflect.ValueOf(cur.Result)
+	for i := 0; i < b.NumField(); i++ {
+		if !sameEncoding(b.Field(i).Interface(), c.Field(i).Interface()) {
+			out = append(out, "Result."+b.Type().Field(i).Name)
+		}
+	}
+	if out == nil {
+		out = []string{"the artifact"}
+	}
+	return out
+}
+
+func sameEncoding(b, c any) bool {
+	eb, errB := Encode(b)
+	ec, errC := Encode(c)
+	return errB == nil && errC == nil && bytes.Equal(eb, ec)
 }
 
 func diffSeries(b, c *Series) SeriesDrift {
@@ -174,20 +212,25 @@ func (r *Report) Regression() bool {
 	return false
 }
 
-// Write renders the report, one line per finding plus a verdict line.
+// Write renders the report, one line per finding, then the count of
+// artifacts whose bytes equal their baseline's, then a verdict line.
 func (r *Report) Write(w io.Writer) {
-	findings := 0
+	stable := 0
 	for i := range r.Diffs {
 		d := &r.Diffs[i]
 		if d.MissingBaseline {
 			fmt.Fprintf(w, "diff %-8s no baseline artifact (new experiment?)\n", d.ID)
-			findings++
 			continue
+		}
+		if len(d.BytesDiffer) == 0 {
+			stable++
 		}
 		if d.FingerprintMismatch {
 			fmt.Fprintf(w, "diff %-8s warning: baseline fingerprint differs (config or module revision changed)\n", d.ID)
-			findings++
 		}
+		// findings counts the flips and drifts reported for d; bytes
+		// that differ without either get a finding of their own.
+		findings := 0
 		for _, f := range d.Flips {
 			verdict := "improved"
 			if f.Regressed() {
@@ -211,10 +254,11 @@ func (r *Report) Write(w io.Writer) {
 				findings++
 			}
 		}
+		if findings == 0 && len(d.BytesDiffer) > 0 {
+			fmt.Fprintf(w, "diff %-8s bytes differ in %s\n", d.ID, strings.Join(d.BytesDiffer, ", "))
+		}
 	}
-	if findings == 0 {
-		fmt.Fprintf(w, "diff: %d artifacts byte-stable against baseline\n", len(r.Diffs))
-	}
+	fmt.Fprintf(w, "diff: %d of %d artifacts byte-stable against baseline\n", stable, len(r.Diffs))
 	if r.Regression() {
 		fmt.Fprintln(w, "diff: REGRESSION against baseline")
 	} else {

@@ -328,6 +328,28 @@ func TestDiffVerdicts(t *testing.T) {
 	})
 }
 
+// TestDiffStatsOnlyChangeIsNotByteStable: an artifact that differs from
+// its baseline only in its router counters drifts no series and flips no
+// check, but its bytes differ. The report must count only its identical
+// twin byte-stable, name the part that differs, and still pass the gate.
+func TestDiffStatsOnlyChangeIsNotByteStable(t *testing.T) {
+	base := sampleArtifact(t)
+	cur := sampleArtifact(t)
+	cur.Result.Stats.HopSum++
+	rep := runstore.Report{Tol: runstore.DefaultTolerance, Diffs: []runstore.ArtifactDiff{
+		runstore.Diff(base, cur), runstore.Diff(base, sampleArtifact(t)),
+	}}
+	var buf bytes.Buffer
+	rep.Write(&buf)
+	out := buf.String()
+	if !strings.Contains(out, "diff: 1 of 2 artifacts byte-stable") || !strings.Contains(out, "bytes differ in Result.Stats\n") {
+		t.Fatalf("report does not single out the Stats change:\n%s", out)
+	}
+	if rep.Regression() {
+		t.Fatal("a byte difference within the tolerance failed the gate")
+	}
+}
+
 // TestReportFromArtifactMatchesLive: rendering a stored artifact must be
 // byte-identical to rendering the live outcome it captured — the acceptance
 // bar for replacing live structs with artifacts in the pipeline.

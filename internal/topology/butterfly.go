@@ -1,8 +1,8 @@
 // Package topology models the three interconnect topologies of the paper's
 // experimental platforms: the MasPar's multistage delta (butterfly) router,
 // the GCel's two-dimensional mesh, and the CM-5's fat tree. The topologies
-// expose routing paths and link identities; the router packages layer
-// contention and timing on top.
+// expose routing paths and link identities; the machine backends layer
+// contention and timing on top through netsim's engines.
 package topology
 
 import "fmt"

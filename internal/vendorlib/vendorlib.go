@@ -20,19 +20,12 @@ import (
 	"quantpar/internal/sim"
 )
 
-// XNetPricer prices an xnet neighbourhood shift of a byte block over a
-// signed PE distance. machine.Machine.XNet satisfies it; depending on the
-// one-method capability rather than a concrete router type keeps this
-// package free of router imports.
-type XNetPricer interface {
-	XnetShift(bytes, dist int) sim.Time
-}
-
 // MasParMatMulTime returns the simulated execution time of the MasPar
 // matmul intrinsic for an N x N single-precision multiply on a full
-// array of procs PEs whose xnet is priced by xnet (Cannon's algorithm on
-// a sqrt(P) x sqrt(P) grid).
-func MasParMatMulTime(procs int, xnet XNetPricer, n int) (sim.Time, error) {
+// array of procs PEs whose xnet shift of bytes over a signed distance is
+// priced by xnet (machine.Machine.XNet), using Cannon's algorithm on a
+// sqrt(P) x sqrt(P) grid.
+func MasParMatMulTime(procs int, xnet func(bytes, dist int) sim.Time, n int) (sim.Time, error) {
 	if n <= 0 {
 		return 0, fmt.Errorf("vendorlib: invalid dimension %d", n)
 	}
@@ -51,9 +44,9 @@ func MasParMatMulTime(procs int, xnet XNetPricer, n int) (sim.Time, error) {
 	const alphaIntrinsic = 33.0 // us per compound op
 
 	// Initial skew: up to side-1 unit xnet shifts for each of A and B.
-	skew := 2 * sim.Time(side-1) * xnet.XnetShift(blockBytes, 1)
+	skew := 2 * sim.Time(side-1) * xnet(blockBytes, 1)
 	// Steady state: side steps of (local multiply + two unit shifts).
-	perStep := sim.Time(b*b*b)*alphaIntrinsic + 2*xnet.XnetShift(blockBytes, 1)
+	perStep := sim.Time(b*b*b)*alphaIntrinsic + 2*xnet(blockBytes, 1)
 	return skew + sim.Time(side)*perStep, nil
 }
 

@@ -3,21 +3,15 @@ package vendorlib
 import (
 	"testing"
 
-	"quantpar/internal/router/maspar"
+	"quantpar/internal/machine/backends"
 )
 
-func router(t *testing.T) *maspar.Router {
-	t.Helper()
-	r, err := maspar.New(maspar.DefaultParams())
+func TestMasParIntrinsicEnvelope(t *testing.T) {
+	m, err := backends.MasPar(backends.DefaultMasParParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r
-}
-
-func TestMasParIntrinsicEnvelope(t *testing.T) {
-	r := router(t)
-	ti, err := MasParMatMulTime(r.Procs(), r, 700)
+	ti, err := MasParMatMulTime(m.P(), m.XNet, 700)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,15 +21,15 @@ func TestMasParIntrinsicEnvelope(t *testing.T) {
 		t.Fatalf("intrinsic rate %.1f Mflops at N=700, want ~62", rate)
 	}
 	// Monotone in N.
-	t1, _ := MasParMatMulTime(r.Procs(), r, 100)
-	t2, _ := MasParMatMulTime(r.Procs(), r, 400)
+	t1, _ := MasParMatMulTime(m.P(), m.XNet, 100)
+	t2, _ := MasParMatMulTime(m.P(), m.XNet, 400)
 	if t2 <= t1 {
 		t.Fatalf("time not monotone: %g vs %g", t1, t2)
 	}
-	if _, err := MasParMatMulTime(r.Procs(), r, 0); err == nil {
+	if _, err := MasParMatMulTime(m.P(), m.XNet, 0); err == nil {
 		t.Fatal("N=0 accepted")
 	}
-	if _, err := MasParMatMulTime(r.Procs(), nil, 100); err == nil {
+	if _, err := MasParMatMulTime(m.P(), nil, 100); err == nil {
 		t.Fatal("nil xnet pricer accepted")
 	}
 }

@@ -73,21 +73,29 @@ func Float64sInto(dst []float64, b []byte) []float64 {
 	return dst
 }
 
-// AppendFloat32s appends xs to dst as little-endian IEEE-754 singles, the
-// MasPar's natural word.
-func AppendFloat32s(dst []byte, xs []float32) []byte {
+// AppendWords appends xs to dst as machine words of w bytes: doubles when
+// w is 8, IEEE-754 singles otherwise (the 4-byte word of the MasPar and
+// the GCel, to which each value is rounded).
+func AppendWords(dst []byte, xs []float64, w int) []byte {
+	if w == 8 {
+		return AppendFloat64s(dst, xs)
+	}
 	for _, x := range xs {
-		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(x))
+		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(float32(x)))
 	}
 	return dst
 }
 
-// Float32sInto decodes a payload written by AppendFloat32s into dst.
-func Float32sInto(dst []float32, b []byte) []float32 {
+// WordsInto decodes a payload written by AppendWords with word size w into
+// dst, widening singles to float64.
+func WordsInto(dst []float64, b []byte, w int) []float64 {
+	if w == 8 {
+		return Float64sInto(dst, b)
+	}
 	n := wordCount(b, 4, "float32")
-	dst = growF32(dst, n)
+	dst = growF64(dst, n)
 	for i := 0; i < n; i++ {
-		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
+		dst[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:])))
 	}
 	return dst
 }
@@ -114,13 +122,6 @@ func growU32(dst []uint32, n int) []uint32 {
 func growF64(dst []float64, n int) []float64 {
 	if cap(dst) < n {
 		return make([]float64, n)
-	}
-	return dst[:n]
-}
-
-func growF32(dst []float32, n int) []float32 {
-	if cap(dst) < n {
-		return make([]float32, n)
 	}
 	return dst[:n]
 }

@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 	"testing/quick"
@@ -44,14 +46,25 @@ func TestFloat64sRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFloat32sRoundTrip: 4-byte words are the IEEE-754 single encoding of
+// each value rounded to float32, byte for byte, and decode to those
+// singles widened; 8-byte words are the double encoding.
 func TestFloat32sRoundTrip(t *testing.T) {
-	f := func(xs []float32) bool {
-		got := Float32sInto(nil, AppendFloat32s(nil, xs))
+	f := func(xs []float64) bool {
+		var want []byte
+		for _, x := range xs {
+			want = binary.LittleEndian.AppendUint32(want, math.Float32bits(float32(x)))
+		}
+		b := AppendWords(nil, xs, 4)
+		if !bytes.Equal(b, want) || !bytes.Equal(AppendWords(nil, xs, 8), AppendFloat64s(nil, xs)) {
+			return false
+		}
+		got := WordsInto(nil, b, 4)
 		if len(got) != len(xs) {
 			return false
 		}
-		for i := range xs {
-			if got[i] != xs[i] && !(got[i] != got[i] && xs[i] != xs[i]) {
+		for i, x := range xs {
+			if got[i] != float64(float32(x)) {
 				return false
 			}
 		}
@@ -74,7 +87,7 @@ func TestByteLengths(t *testing.T) {
 func TestRaggedPayloadsPanic(t *testing.T) {
 	cases := []func(){
 		func() { Uint32s(make([]byte, 5)) },
-		func() { Float32sInto(nil, make([]byte, 7)) },
+		func() { WordsInto(nil, make([]byte, 7), 4) },
 		func() { Float64sInto(nil, make([]byte, 9)) },
 	}
 	for i, c := range cases {

@@ -215,7 +215,7 @@ func ExperimentArtifactConfig(e Experiment, ctx *ExperimentContext) (ArtifactCon
 // Calibration (Section 3): microbenchmarks extracting Table 1 parameters.
 type CalibrationSpec = calibrate.Spec
 
-// Calibrate runs the Table 1 microbenchmarks against a machine's router.
+// Calibrate runs the Table 1 microbenchmarks against a machine.
 func Calibrate(m *Machine, spec CalibrationSpec, seed uint64) (calibrate.Params, error) {
-	return calibrate.Fixed(m.Router).Extract(spec, sim.NewRNG(seed))
+	return calibrate.Fixed(m).Extract(spec, sim.NewRNG(seed))
 }

@@ -115,3 +115,27 @@ func TestFacadeReferenceAndCalibrate(t *testing.T) {
 		t.Fatalf("calibrated g %.1f vs reference %.1f", p.G, ref.G)
 	}
 }
+
+// TestCalibrateRejectsTrialCounts: a calibration needs at least one trial
+// per point, so zero and negative trial counts are errors, not panics.
+func TestCalibrateRejectsTrialCounts(t *testing.T) {
+	m, err := quantpar.NewMachine("cm5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, trials := range []int{0, -1} {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("Trials %d panicked: %v", trials, r)
+				}
+			}()
+			_, err := quantpar.Calibrate(m, quantpar.CalibrationSpec{
+				Hs: []int{1, 2, 4}, Sizes: []int{16, 64}, WordBytes: 8, Trials: trials,
+			}, 1)
+			if err == nil {
+				t.Errorf("Trials %d accepted", trials)
+			}
+		}()
+	}
+}
